@@ -199,17 +199,13 @@ class SteadyComparison:
     seconds: float
 
 
-def _analytic_on_grid(sol, grid: Grid2D, t):
-    """sol.eval on the tensor grid via cached radial profiles."""
-    ps = sol.ps
-    blood = derive_optics(ps.blood_optics)
-    prof_e = np.empty_like(grid.r)
-    prof_t = np.empty_like(grid.r)
-    for j, rv in enumerate(grid.r):
-        reg = region_of(min(rv, ps.geometry.r_s - 1e-12), ps.geometry)
-        prof_e[j] = sol.profile_eff(reg, rv)
-        prof_t[j] = sol.profile_t(reg, rv)
-    zeta = grid.z + ps.protocol.v * t
+def _analytic_on_grid(sol, grid: Grid2D, t, profiles):
+    """Closed-form fluence on the tensor grid at time t, zero behind the
+    tip.  profiles = sol.profiles(grid.r), computed once per grid; only
+    the axial exponentials depend on t."""
+    blood = derive_optics(sol.ps.blood_optics)
+    prof_e, prof_t = profiles
+    zeta = grid.z + sol.ps.protocol.v * t
     field = (prof_e[:, None] * np.exp(-blood.mu_eff * zeta)[None, :]
              + prof_t[:, None] * np.exp(-blood.mu_t * zeta)[None, :])
     return np.where(zeta[None, :] < 0.0, 0.0, field)
@@ -256,7 +252,7 @@ def solve_steady_fluence(ps: ParameterSet, sol, nr=300, nz=300,
     q[:, zeta < 0.0] = 0.0
     rhs = q.ravel()
 
-    ref = _analytic_on_grid(sol, grid, frame_t)
+    ref = _analytic_on_grid(sol, grid, frame_t, sol.profiles(grid.r))
 
     mask = np.zeros((nrn, nzn), dtype=bool)
     vals = ref.copy()
@@ -467,6 +463,8 @@ def solve_transient_temperature(ps: ParameterSet, sol, nr=200, nz=220,
         [ps.optics_of(region_of(min(rv, geo.r_s - 1e-12), geo)).mu_a
          for rv in grid.r])
     cell = grid.area[:, None] * grid.dz
+    if heating == "analytic_fluence":
+        profiles = sol.profiles(grid.r)
 
     snapshot_times = np.asarray(sorted(snapshot_times), dtype=float)
     steps = int(round(snapshot_times[-1] / dt))
@@ -481,7 +479,7 @@ def solve_transient_temperature(ps: ParameterSet, sol, nr=200, nz=220,
         t = n * dt
         rhs = mass / dt * temp.ravel() + rhs_fixed
         if heating == "analytic_fluence":
-            phi = _analytic_on_grid(sol, grid, t)
+            phi = _analytic_on_grid(sol, grid, t, profiles)
             rhs = rhs + (mu_a_node[:, None] * phi * cell).ravel()
         temp = lu.solve(rhs).reshape(nrn, nzn)
         while want and t >= want[0] - 0.5 * dt:

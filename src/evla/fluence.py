@@ -60,6 +60,22 @@ class DomainError(ValueError):
     """Evaluation point outside the domain of validity."""
 
 
+def region_index(r, geo):
+    """Index into tuple(Region) of the region holding each radius: the
+    zone edges go to the outer zone, as in params.region_of; no range
+    check."""
+    return np.searchsorted([geo.r_f, geo.r_i, geo.r_w, geo.r_p], r,
+                           side="right")
+
+
+def distinct_radii(r):
+    """(ru, inv): the sorted distinct radii of r and the index array of
+    r's shape that gathers them back, ru[inv] == r.  Radial profiles are
+    evaluated once per entry of ru."""
+    ru, inv = np.unique(r, return_inverse=True)
+    return ru, inv.reshape(np.shape(r))
+
+
 @dataclass(frozen=True)
 class SourceTerm:
     """Beer-Lambert column source S = S0 exp[-mu_t (z+vt)] for r < r_f."""
@@ -211,13 +227,30 @@ class FluenceSolution:
         return -b * (self.B5[region] * specfn.j1(b * r)
                      + self.B6[region] * specfn.y1(b * r))
 
+    def profiles(self, r):
+        """(mu_eff profile, mu_t profile) at radii r in [0, r_s], each in the
+        region that contains it; one vector call per region and family."""
+        r = np.asarray(r, dtype=float)
+        p_eff = np.empty_like(r)
+        p_t = np.empty_like(r)
+        reg_of = region_index(r, self.ps.geometry)
+        for k, region in enumerate(Region):
+            pick = reg_of == k
+            if np.any(pick):
+                p_eff[pick] = self.profile_eff(region, r[pick])
+                p_t[pick] = self.profile_t(region, r[pick])
+        return p_eff, p_t
+
     # -- full field ----------------------------------------------------
 
-    def _check_domain(self, z, t):
+    def _check_domain(self, r, z, t):
         geo = self.ps.geometry
         proto = self.ps.protocol
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=float)
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(z))
+                and np.all(np.isfinite(t))):
+            raise DomainError("non-finite r, z or t")
+        if np.any(r < 0) or np.any(r > geo.r_s + 1e-12):
+            raise DomainError("r outside [0, r_s]")
         if np.any(t < 0) or np.any(t > proto.t_end):
             raise DomainError("t outside [0, %g]" % proto.t_end)
         if np.any(z > geo.L):
@@ -233,52 +266,13 @@ class FluenceSolution:
         r, z, t = np.broadcast_arrays(
             np.asarray(r, dtype=float), np.asarray(z, dtype=float),
             np.asarray(t, dtype=float))
-        self._check_domain(z, t)
-        geo = self.ps.geometry
-        if np.any(r < 0) or np.any(r > geo.r_s + 1e-12):
-            raise DomainError("r outside [0, r_s]")
+        self._check_domain(r, z, t)
         blood = derive_optics(self.ps.blood_optics)
+        ru, inv = distinct_radii(r)
+        p_eff, p_t = self.profiles(ru)
         zeta = z + self.ps.protocol.v * t      # co-moving coordinate
-        e_eff = np.exp(-blood.mu_eff * zeta)
-        e_t = np.exp(-blood.mu_t * zeta)
-        out = np.zeros_like(r)
-        edges = [geo.r_f, geo.r_i, geo.r_w, geo.r_p, geo.r_s]
-        lo = 0.0
-        for region, hi in zip(Region, edges):
-            mask = (r >= lo) & ((r < hi) if region is not Region.SKIN
-                                else (r <= hi + 1e-12))
-            if np.any(mask):
-                out[mask] = (self.profile_eff(region, r[mask]) * e_eff[mask]
-                             + self.profile_t(region, r[mask]) * e_t[mask])
-            lo = hi
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-    def eval_z_deriv(self, r, z, t):
-        """Axial derivative of the fluence, same conventions as eval."""
-        r, z, t = np.broadcast_arrays(
-            np.asarray(r, dtype=float), np.asarray(z, dtype=float),
-            np.asarray(t, dtype=float))
-        self._check_domain(z, t)
-        geo = self.ps.geometry
-        blood = derive_optics(self.ps.blood_optics)
-        zeta = z + self.ps.protocol.v * t
-        e_eff = np.exp(-blood.mu_eff * zeta)
-        e_t = np.exp(-blood.mu_t * zeta)
-        out = np.zeros_like(r)
-        edges = [geo.r_f, geo.r_i, geo.r_w, geo.r_p, geo.r_s]
-        lo = 0.0
-        for region, hi in zip(Region, edges):
-            mask = (r >= lo) & ((r < hi) if region is not Region.SKIN
-                                else (r <= hi + 1e-12))
-            if np.any(mask):
-                out[mask] = (
-                    -blood.mu_eff * self.profile_eff(region, r[mask])
-                    * e_eff[mask]
-                    - blood.mu_t * self.profile_t(region, r[mask])
-                    * e_t[mask])
-            lo = hi
+        out = (p_eff[inv] * np.exp(-blood.mu_eff * zeta)
+               + p_t[inv] * np.exp(-blood.mu_t * zeta))
         if out.ndim == 0:
             return float(out)
         return out

@@ -239,12 +239,12 @@ class Protocol:
             raise ConfigError(
                 "wavelength %r nm not in the coefficient registry %s"
                 % (self.wavelength, WAVELENGTHS))
-        if self.v < 0:
-            raise ConfigError("v must be >= 0")
+        if not (0.0 < self.v < math.inf):
+            raise ConfigError("v must be finite and > 0")
         if not (self.t_end > 0):
             raise ConfigError("t_end must be > 0")
-        if self.u < 0:
-            raise ConfigError("u must be >= 0")
+        if not (0.0 <= self.u < math.inf):
+            raise ConfigError("u must be finite and >= 0")
         if not (self.T_air < self.T_b):
             raise ConfigError("T_air must be below T_b")
         if not (self.h_air > 0):

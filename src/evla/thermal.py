@@ -36,16 +36,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import specfn
-from .fluence import DomainError, FluenceSolution, assemble_and_solve
+from .fluence import (FluenceSolution, assemble_and_solve, distinct_radii,
+                      region_index)
 from .params import ParameterSet, Region, derive_optics
 
 OUTER = (Region.WALL, Region.PAD, Region.SKIN)
+OUTER_FIRST = tuple(Region).index(Region.WALL)
 
 
 class ThermalError(RuntimeError):
@@ -228,6 +229,54 @@ def steady_robin_offset(ps: ParameterSet) -> OffsetProfile:
 # modal relaxation over [r_i, r_s]
 # ---------------------------------------------------------------------------
 
+# specfn's mid-range quadrature holds (n, 128) temporaries; radial bases are
+# evaluated in slices of at most this many points to bound them
+_BASIS_CHUNK = 1536
+
+
+def _sliced(fn, x):
+    """fn(x) in slices of at most _BASIS_CHUNK points."""
+    if x.size <= _BASIS_CHUNK:
+        return fn(x)
+    flat = x.ravel()
+    return np.concatenate([fn(flat[i:i + _BASIS_CHUNK])
+                           for i in range(0, flat.size, _BASIS_CHUNK)]) \
+        .reshape(x.shape)
+
+
+def _basis(q, osc, r, deriv=False):
+    """Two-function radial basis (f, g) of one region, or its r-derivative.
+
+    q and osc are 1-D (one wavenumber and branch per row); rows with osc
+    use J0/Y0, the others I0/K0.  r is 1-D.  Each function is evaluated
+    by one specfn call per branch present (and per _BASIS_CHUNK points);
+    returns two (len(q), len(r)) arrays.
+    """
+    q = np.asarray(q, dtype=float)[:, None]
+    osc = np.asarray(osc, dtype=bool)
+    x = q * np.asarray(r, dtype=float)[None, :]
+    f = np.empty_like(x)
+    g = np.empty_like(x)
+    for branch in (True, False):
+        rows = osc == branch
+        if not np.any(rows):
+            continue
+        qq, xx = q[rows], x[rows]
+        if branch and deriv:
+            f[rows] = -qq * _sliced(specfn.j1, xx)
+            g[rows] = -qq * _sliced(specfn.y1, xx)
+        elif branch:
+            f[rows] = _sliced(specfn.j0, xx)
+            g[rows] = _sliced(specfn.y0, xx)
+        elif deriv:
+            f[rows] = qq * _sliced(specfn.i1, xx)
+            g[rows] = -qq * _sliced(specfn.k1, xx)
+        else:
+            f[rows] = _sliced(specfn.i0, xx)
+            g[rows] = _sliced(specfn.k0, xx)
+    return f, g
+
+
 def axial_mode(m, L, z):
     """Axial shape cos[m pi (L - z)/(2 L)]; insulated at both z = +-L."""
     z = np.asarray(z, dtype=float)
@@ -248,129 +297,154 @@ class RadialMode:
     coeff: dict          # Region -> (a, b) basis amplitudes
     ps: ParameterSet
 
-    def _basis(self, reg, r):
-        qq = self.q[reg]
-        x = qq * r
-        if self.oscillatory[reg]:
-            return specfn.j0(x), specfn.y0(x)
-        return specfn.i0(x), specfn.k0(x)
-
-    def _basis_deriv(self, reg, r):
-        qq = self.q[reg]
-        x = qq * r
-        if self.oscillatory[reg]:
-            return -qq * specfn.j1(x), -qq * specfn.y1(x)
-        return qq * specfn.i1(x), -qq * specfn.k1(x)
-
     def eval(self, r):
-        geo = self.ps.geometry
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for reg, lo, hi in ((Region.WALL, geo.r_i, geo.r_w),
-                            (Region.PAD, geo.r_w, geo.r_p),
-                            (Region.SKIN, geo.r_p, geo.r_s)):
-            mask = (r >= lo) & ((r < hi) if reg is not Region.SKIN
-                                else (r <= hi + 1e-12))
-            if np.any(mask):
-                a, b = self.coeff[reg]
-                f0, g0 = self._basis(reg, r[mask])
-                out[mask] = a * f0 + b * g0
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return _scalar_or_array(mode_profiles((self,), r)[0])
 
     def eval_deriv(self, r):
-        geo = self.ps.geometry
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for reg, lo, hi in ((Region.WALL, geo.r_i, geo.r_w),
-                            (Region.PAD, geo.r_w, geo.r_p),
-                            (Region.SKIN, geo.r_p, geo.r_s)):
-            mask = (r >= lo) & ((r < hi) if reg is not Region.SKIN
-                                else (r <= hi + 1e-12))
-            if np.any(mask):
-                a, b = self.coeff[reg]
-                f1, g1 = self._basis_deriv(reg, r[mask])
-                out[mask] = a * f1 + b * g1
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return _scalar_or_array(mode_profiles((self,), r, deriv=True)[0])
+
+
+def _scalar_or_array(out):
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def mode_profiles(modes, r, deriv=False):
+    """R_k(r) (or R_k'(r)) of every mode, shape (len(modes), *r.shape).
+
+    Zero outside [r_i, r_s].  All modes are evaluated together: one
+    specfn call per basis function, region and branch.
+    """
+    geo = modes[0].ps.geometry
+    r = np.asarray(r, dtype=float)
+    flat = r.ravel()
+    out = np.zeros((len(modes), flat.size))
+    for reg, lo, hi in ((Region.WALL, geo.r_i, geo.r_w),
+                        (Region.PAD, geo.r_w, geo.r_p),
+                        (Region.SKIN, geo.r_p, geo.r_s)):
+        cols = (flat >= lo) & ((flat < hi) if reg is not Region.SKIN
+                               else (flat <= hi + 1e-12))
+        if not np.any(cols):
+            continue
+        f, g = _basis([m.q[reg] for m in modes],
+                      [m.oscillatory[reg] for m in modes], flat[cols], deriv)
+        a, b = np.array([m.coeff[reg] for m in modes]).T
+        out[:, cols] = a[:, None] * f + b[:, None] * g
+    return out.reshape((len(modes),) + r.shape)
 
 
 def _mode_wavenumbers(ps, u, m_axial):
-    """Per-region (q, oscillatory) for trial rate zeta = -u^2."""
+    """Per-region (q, oscillatory) arrays for trial rates zeta = -u^2."""
     c_b = ps.blood_thermal.c_p
     eta2 = (m_axial * math.pi / (2.0 * ps.geometry.L)) ** 2
     out = {}
     for reg in OUTER:
         th = ps.thermal_of(reg)
         chi = (th.rho_cp * u * u - c_b * th.omega) / th.k - eta2
-        out[reg] = (math.sqrt(abs(chi)), chi > 0.0)
+        out[reg] = (np.sqrt(np.abs(chi)), chi > 0.0)
     return out
 
 
-def _mode_matrix(ps, u, m_axial):
-    """5x5 interface/boundary system for the trial rate zeta = -u^2.
+def _mode_matrices(ps, u, m_axial):
+    """Column-scaled 5x5 interface/boundary systems for the trial rates
+    zeta = -u^2, one per entry of the 1-D array u.
 
     Unknowns: wall amplitude (its two-function combination already
-    vanishes at r_i), then (a, b) for pad and skin.
+    vanishes at r_i), then (a, b) for pad and skin.  Rows: value and
+    k-flux continuity at r_w and r_p, Robin closure at r_s.  Returns
+    (m / scale, scale, wavenumbers, wall combination).
     """
     geo = ps.geometry
     h = ps.protocol.h_air
     wn = _mode_wavenumbers(ps, u, m_axial)
-
-    def basis(reg, r):
-        q, osc = wn[reg]
-        x = q * r
-        if osc:
-            return (specfn.j0(x), specfn.y0(x),
-                    -q * specfn.j1(x), -q * specfn.y1(x))
-        return (specfn.i0(x), specfn.k0(x),
-                q * specfn.i1(x), -q * specfn.k1(x))
-
+    val, der = {}, {}
+    for reg, radii in ((Region.WALL, (geo.r_i, geo.r_w)),
+                       (Region.PAD, (geo.r_w, geo.r_p)),
+                       (Region.SKIN, (geo.r_p, geo.r_s))):
+        val[reg] = _basis(*wn[reg], radii)
+        der[reg] = _basis(*wn[reg], radii, deriv=True)
+    (fw, gw), (dfw, dgw) = val[Region.WALL], der[Region.WALL]
+    (fp, gp), (dfp, dgp) = val[Region.PAD], der[Region.PAD]
+    (fs, gs), (dfs, dgs) = val[Region.SKIN], der[Region.SKIN]
     # wall combination vanishing at r_i
-    f_i, g_i, _, _ = basis(Region.WALL, geo.r_i)
-    cw = (g_i, -f_i)
-
-    def wall_at(r):
-        f, g, df, dg = basis(Region.WALL, r)
-        return cw[0] * f + cw[1] * g, cw[0] * df + cw[1] * dg
-
+    cw = (gw[:, 0], -fw[:, 0])
+    wv = cw[0] * fw[:, 1] + cw[1] * gw[:, 1]
+    wd = cw[0] * dfw[:, 1] + cw[1] * dgw[:, 1]
     k_w = ps.thermal_of(Region.WALL).k
     k_p = ps.thermal_of(Region.PAD).k
     k_s = ps.thermal_of(Region.SKIN).k
 
-    m = np.zeros((5, 5))
-    wv, wd = wall_at(geo.r_w)
-    fp, gp, dfp, dgp = basis(Region.PAD, geo.r_w)
-    m[0] = (wv, -fp, -gp, 0.0, 0.0)
-    m[1] = (k_w * wd, -k_p * dfp, -k_p * dgp, 0.0, 0.0)
-    fp, gp, dfp, dgp = basis(Region.PAD, geo.r_p)
-    fs, gs, dfs, dgs = basis(Region.SKIN, geo.r_p)
-    m[2] = (0.0, fp, gp, -fs, -gs)
-    m[3] = (0.0, k_p * dfp, k_p * dgp, -k_s * dfs, -k_s * dgs)
-    fs, gs, dfs, dgs = basis(Region.SKIN, geo.r_s)
-    m[4] = (0.0, 0.0, 0.0, k_s * dfs + h * fs, k_s * dgs + h * gs)
-    return m, wn, cw
-
-
-def _det(ps, u, m_axial):
-    m, _, _ = _mode_matrix(ps, u, m_axial)
-    scale = np.max(np.abs(m), axis=0)
+    m = np.zeros((u.size, 5, 5))
+    m[:, 0, :3] = np.stack([wv, -fp[:, 0], -gp[:, 0]], axis=-1)
+    m[:, 1, :3] = np.stack([k_w * wd, -k_p * dfp[:, 0], -k_p * dgp[:, 0]],
+                           axis=-1)
+    m[:, 2, 1:] = np.stack([fp[:, 1], gp[:, 1], -fs[:, 0], -gs[:, 0]],
+                           axis=-1)
+    m[:, 3, 1:] = np.stack([k_p * dfp[:, 1], k_p * dgp[:, 1],
+                            -k_s * dfs[:, 0], -k_s * dgs[:, 0]], axis=-1)
+    m[:, 4, 3] = k_s * dfs[:, 1] + h * fs[:, 1]
+    m[:, 4, 4] = k_s * dgs[:, 1] + h * gs[:, 1]
+    scale = np.max(np.abs(m), axis=1, keepdims=True)
     scale[scale == 0.0] = 1.0
-    return float(np.linalg.det(m / scale))
+    return m / scale, scale, wn, cw
+
+
+def _dets(ps, u, m_axial):
+    return np.linalg.det(_mode_matrices(ps, u, m_axial)[0])
+
+
+def _refine_roots(f, a, b, fa, fb):
+    """Roots of f in the brackets [a, b] (f(a) f(b) < 0), refined together
+    by the Illinois variant of regula falsi.
+
+    f maps a 1-D array of points to their values; each step evaluates it
+    once on every unfinished bracket.  A bracket is done once it is
+    narrower than 1e-14 (1 + |b|) (brentq's stopping test, with xtol and
+    rtol 1e-14) or f(b) is exactly zero; a degenerate bracket a == b with
+    fb == 0 is returned as it is.  At that width u sits within about
+    1e-14 of the root, so zeta does not depend on the path the iteration
+    took.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    for _ in range(100):
+        live = np.nonzero((np.abs(b - a) >= 1e-14 * (1.0 + np.abs(b)))
+                          & (fb != 0.0))[0]
+        if live.size == 0:
+            return b
+        al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
+        c = bl - fbl * (bl - al) / (fbl - fal)
+        fc = f(c)
+        # root between b and c: b becomes the far end; otherwise keep a
+        # and halve its value so the far end moves too (Illinois)
+        swap = fc * fbl < 0.0
+        a[live] = np.where(swap, bl, al)
+        fa[live] = np.where(swap, fbl, 0.5 * fal)
+        b[live], fb[live] = c, fc
+    raise ThermalError("eigenvalue refinement did not converge in 100 "
+                       "steps")
 
 
 def modal_eigenvalues(ps: ParameterSet, n_modes=20, m_axial=0,
                       u_max=3.0, du=0.002) -> list:
     """First n_modes radial relaxation modes, slowest first.
 
-    The determinant of the interface system is scanned along
-    u = sqrt(-zeta) and bracketed sign changes are bisected.  Scan
-    intervals split where a region's radial character flips between
-    oscillatory and evanescent (the basis switch makes the determinant
-    discontinuous there).
+    The scaled determinant of the interface system is scanned on a grid
+    of step du in u = sqrt(-zeta), one stacked determinant per scan
+    segment.  Segments split where a region's radial character flips
+    between oscillatory and evanescent (the basis switch makes the
+    determinant discontinuous there) and the scan stops after the
+    segment that completes n_modes sign changes.  The first n_modes
+    brackets are refined together (_refine_roots) and the modes built
+    together (_build_modes).
+
+    Raises BracketExhausted when fewer than n_modes sign changes lie
+    below u_max, or when mode n (0-based) does not change sign exactly n
+    times on (r_i, r_s]: by Sturm oscillation the scan then skipped a
+    root, and du is too coarse.
     """
+    if n_modes <= 0:
+        return []
     c_b = ps.blood_thermal.c_p
     eta2 = (m_axial * math.pi / (2.0 * ps.geometry.L)) ** 2
     switches = []
@@ -388,58 +462,66 @@ def modal_eigenvalues(ps: ParameterSet, n_modes=20, m_axial=0,
         if hi > lo:
             segments.append((lo, hi))
         lo = s + margin
-    modes = []
+    brackets = []        # (a, b, f(a), f(b)); a == b for an exact zero
     for (a, b) in segments:
         n = max(8, int(round((b - a) / du)))
         us = np.linspace(a, b, n + 1)
-        ds = [_det(ps, float(uu), m_axial) for uu in us]
-        for i in range(n):
-            if len(modes) >= n_modes:
-                break
+        ds = _dets(ps, us, m_axial)
+        for i in np.nonzero((ds[:-1] == 0.0) | (ds[:-1] * ds[1:] < 0.0))[0]:
             if ds[i] == 0.0:
-                root = float(us[i])
-            elif ds[i] * ds[i + 1] < 0.0:
-                root = brentq(lambda uu: _det(ps, uu, m_axial),
-                              float(us[i]), float(us[i + 1]),
-                              xtol=1e-12, rtol=1e-14)
+                brackets.append((us[i], us[i], 0.0, 0.0))
             else:
-                continue
-            modes.append(_build_mode(ps, root, m_axial))
-        if len(modes) >= n_modes:
+                brackets.append((us[i], us[i + 1], ds[i], ds[i + 1]))
+        if len(brackets) >= n_modes:
             break
-    if len(modes) < n_modes:
+    if len(brackets) < n_modes:
         raise BracketExhausted(
             "found %d of %d modes by u = %.3f; widen the scan"
-            % (len(modes), n_modes, u_max))
-    return modes
+            % (len(brackets), n_modes, u_max))
+    a, b, fa, fb = np.array(brackets[:n_modes]).T
+    roots = _refine_roots(lambda uu: _dets(ps, uu, m_axial), a, b, fa, fb)
+    return _build_modes(ps, roots, m_axial)
 
 
-def _build_mode(ps, u, m_axial) -> RadialMode:
-    m, wn, cw = _mode_matrix(ps, u, m_axial)
-    scale = np.max(np.abs(m), axis=0)
-    scale[scale == 0.0] = 1.0
-    _, s, vt = np.linalg.svd(m / scale)
-    null = vt[-1] / scale
-    if s[-2] < 1e-8 * s[0]:
-        warnings.warn("near-degenerate mode at u = %.6f" % u)
-    amp_w = null[0]
-    coeff = {Region.WALL: (amp_w * cw[0], amp_w * cw[1]),
-             Region.PAD: (null[1], null[2]),
-             Region.SKIN: (null[3], null[4])}
-    q = {reg: wn[reg][0] for reg in OUTER}
-    osc = {reg: wn[reg][1] for reg in OUTER}
-    mode = RadialMode(zeta=-u * u, m_axial=m_axial, q=q, oscillatory=osc,
-                      coeff=coeff, ps=ps)
+def _sign_changes(vals):
+    """Sign changes along a 1-D sample, exact zeros skipped."""
+    s = np.sign(vals[vals != 0.0])
+    return int(np.count_nonzero(s[1:] != s[:-1]))
+
+
+def _build_modes(ps, u, m_axial):
+    """Normalised modes at the refined roots u, checked for completeness."""
+    ms, scale, wn, cw = _mode_matrices(ps, u, m_axial)
+    _, s, vt = np.linalg.svd(ms)
+    null = vt[:, -1, :] / scale[:, 0, :]
+    modes = []
+    for i, uu in enumerate(u):
+        if s[i, -2] < 1e-8 * s[i, 0]:
+            warnings.warn("near-degenerate mode at u = %.6f" % uu)
+        amp_w = null[i, 0]
+        modes.append(RadialMode(
+            zeta=float(-uu * uu), m_axial=m_axial,
+            q={reg: float(wn[reg][0][i]) for reg in OUTER},
+            oscillatory={reg: bool(wn[reg][1][i]) for reg in OUTER},
+            coeff={Region.WALL: (amp_w * cw[0][i], amp_w * cw[1][i]),
+                   Region.PAD: (null[i, 1], null[i, 2]),
+                   Region.SKIN: (null[i, 3], null[i, 4])},
+            ps=ps))
     # normalize: peak magnitude 1 over the annulus, first lobe positive
     geo = ps.geometry
     rr = np.linspace(geo.r_i, geo.r_s, 800)
-    vals = mode.eval(rr)
-    peak = float(np.max(np.abs(vals)))
-    sgn = 1.0 if mode.eval_deriv(geo.r_i) > 0 else -1.0
-    fac = sgn / peak
-    coeff = {reg: (a * fac, b * fac) for reg, (a, b) in coeff.items()}
-    return RadialMode(zeta=-u * u, m_axial=m_axial, q=q, oscillatory=osc,
-                      coeff=coeff, ps=ps)
+    vals = mode_profiles(modes, rr)
+    slope = mode_profiles(modes, np.array([geo.r_i]), deriv=True)[:, 0]
+    for n, row in enumerate(vals):
+        found = _sign_changes(row[1:])
+        if found != n:
+            raise BracketExhausted(
+                "mode %d changes sign %d times on (r_i, r_s], expected %d: "
+                "the scan skipped a root; refine du" % (n, found, n))
+    fac = np.where(slope > 0, 1.0, -1.0) / np.max(np.abs(vals), axis=1)
+    return [replace(m, coeff={reg: (a * f, b * f)
+                              for reg, (a, b) in m.coeff.items()})
+            for m, f in zip(modes, fac)]
 
 
 def project_initial(ps: ParameterSet, modes, offset: OffsetProfile,
@@ -501,9 +583,10 @@ class TemperatureSolution:
     projection_residual_max: float
     projection_residual_l2: float
 
-    def _forced_profile_pair(self, reg, r, t):
-        """Radial amplitude of both forced families with their brackets
-        folded in; returns (amp_eff(r, t), amp_t(r, t))."""
+    def _forced_brackets(self, reg, t):
+        """Radial amplitude factor and time brackets of both forced
+        families in one region: (amp, br_eff(t), br_t(t)), the term being
+        amp * profile * br * (axial exponential)."""
         ps = self.ps
         proto = ps.protocol
         blood = derive_optics(ps.blood_optics)
@@ -511,23 +594,18 @@ class TemperatureSolution:
         v = proto.v
         if reg in (Region.FIBER_COLUMN, Region.BLOOD_ANNULUS):
             th = ps.blood_thermal
-            mu_a = ps.blood_optics.mu_a
             br_eff = growth_bracket(rates.zeta_col_eff, -blood.mu_eff * v, t)
             if reg is Region.FIBER_COLUMN:
                 br_t = growth_bracket(rates.zeta_col_t, -blood.mu_t * v, t)
             else:
                 br_t = growth_bracket(rates.zeta_ann_t, -blood.mu_t * v, t)
-            amp = mu_a / th.rho_cp
-            return (amp * self.sol.profile_eff(reg, r) * br_eff,
-                    amp * self.sol.profile_t(reg, r) * br_t)
+            return ps.blood_optics.mu_a / th.rho_cp, br_eff, br_t
         th = ps.thermal_of(reg)
         zeta = rates.zeta_outer[reg]
-        p_eff = self.sol.profile_eff(reg, r)
-        p_t = self.sol.profile_t(reg, r)
         if self.mode == "derived":
-            amp = ps.optics_of(reg).mu_a / th.rho_cp
-            return (amp * p_eff * growth_bracket(zeta, -blood.mu_eff * v, t),
-                    amp * p_t * growth_bracket(zeta, -blood.mu_t * v, t))
+            return (ps.optics_of(reg).mu_a / th.rho_cp,
+                    growth_bracket(zeta, -blood.mu_eff * v, t),
+                    growth_bracket(zeta, -blood.mu_t * v, t))
         rate = zeta
         if self.mode == "printed_sqrt":
             if zeta < 0.0:
@@ -541,39 +619,48 @@ class TemperatureSolution:
                       - np.exp(-blood.mu_eff * v * t)) / denom
             br_t = (np.exp(rate * t)
                     - np.exp(-blood.mu_t * v * t)) / denom
-        return (p_eff * br_eff, p_t * br_t)
+        return 1.0, br_eff, br_t
 
     def eval(self, r, z, t):
-        """Temperature [degC]; arrays broadcast; domain z >= -v t."""
+        """Temperature [degC]; arrays broadcast; domain z >= -v t.
+
+        Every radial profile (forced families, Robin offset, modes) is
+        evaluated once per distinct radius; axial exponentials and time
+        brackets per point.
+        """
         r, z, t = np.broadcast_arrays(
             np.asarray(r, dtype=float), np.asarray(z, dtype=float),
             np.asarray(t, dtype=float))
-        self.sol._check_domain(z, t)
+        self.sol._check_domain(r, z, t)
         ps = self.ps
-        geo = ps.geometry
-        if np.any(r < 0) or np.any(r > geo.r_s + 1e-12):
-            raise DomainError("r outside [0, r_s]")
         blood = derive_optics(ps.blood_optics)
+        ru, inv = distinct_radii(r)
+        reg_u = region_index(ru, ps.geometry)
+        reg = reg_u[inv]
+        p_eff, p_t = self.sol.profiles(ru)
+        br_eff = np.empty_like(r)
+        br_t = np.empty_like(r)
+        for k, region in enumerate(Region):
+            pts = reg == k
+            if np.any(pts):
+                amp, br_eff[pts], br_t[pts] = self._forced_brackets(
+                    region, t[pts])
+                p_eff[reg_u == k] *= amp
+                p_t[reg_u == k] *= amp
         out = np.full_like(r, float(ps.protocol.T_b))
-        e_eff = np.exp(-blood.mu_eff * z)
-        e_t = np.exp(-blood.mu_t * z)
-        edges = [geo.r_f, geo.r_i, geo.r_w, geo.r_p, geo.r_s]
-        lo = 0.0
-        for reg, hi in zip(Region, edges):
-            mask = (r >= lo) & ((r < hi) if reg is not Region.SKIN
-                                else (r <= hi + 1e-12))
-            if np.any(mask):
-                amp_eff, amp_t = self._forced_profile_pair(
-                    reg, r[mask], t[mask])
-                out[mask] += amp_eff * e_eff[mask] + amp_t * e_t[mask]
-            lo = hi
-        tissue = r >= geo.r_i
+        out += (p_eff[inv] * br_eff * np.exp(-blood.mu_eff * z)
+                + p_t[inv] * br_t * np.exp(-blood.mu_t * z))
+        # offset and modal transient over the tissue, r >= r_i
+        n_lumen = int(np.count_nonzero(reg_u < OUTER_FIRST))
+        tissue = reg >= OUTER_FIRST
         if np.any(tissue):
-            rt = r[tissue]
+            rt = ru[n_lumen:]
+            at = inv[tissue] - n_lumen
             tt = t[tissue]
-            add = self.offset.eval(rt)
-            for c, m in zip(self.amplitudes, self.modal):
-                add = add + c * m.eval(rt) * np.exp(m.zeta * tt)
+            add = self.offset.eval(rt)[at]
+            table = self.amplitudes[:, None] * mode_profiles(self.modal, rt)
+            for row, m in zip(table, self.modal):
+                add = add + row[at] * np.exp(m.zeta * tt)
             out[tissue] += add
         if out.ndim == 0:
             return float(out)

@@ -204,6 +204,30 @@ def test_eval_domain_errors(sol810):
         sol810.eval(0.5, 10.5, 0.0)     # beyond the far cap
 
 
+@pytest.mark.parametrize("point", [(np.nan, 0.0, 0.0), (0.5, np.nan, 0.0),
+                                   (0.5, 0.0, np.nan), (np.inf, 0.0, 0.0),
+                                   (0.5, -np.inf, 0.0)])
+def test_eval_rejects_non_finite(sol810, point):
+    with pytest.raises(DomainError):
+        sol810.eval(*point)
+    r, z, t = (np.array([0.5, v, 4.0]) for v in point)
+    with pytest.raises(DomainError):
+        sol810.eval(r, z, t)
+
+
+def test_eval_on_repeated_radii_matches_pointwise(ps810, sol810):
+    geo = ps810.geometry
+    # zone edges, interior radii and repeats, in no particular order
+    r = np.array([geo.r_p, 0.1, geo.r_f, 2.0, geo.r_i, 0.1, 4.0, geo.r_w,
+                  8.0, geo.r_s, 15.0, geo.r_i, 2.0])
+    z = np.array([0.0, 1.5, 6.0])
+    t = np.array([0.0, 2.5, 10.0])
+    rr, zz, tt = np.meshgrid(r, z, t, indexing="ij")
+    grid = sol810.eval(rr, zz, tt)
+    pointwise = np.vectorize(sol810.eval)(rr, zz, tt)
+    np.testing.assert_allclose(grid, pointwise, rtol=1e-12, atol=0.0)
+
+
 def test_eval_broadcasts(sol810):
     r = np.linspace(0.0, 17.0, 7)
     z = np.linspace(-1.0, 9.0, 5)[:, None]

@@ -143,6 +143,17 @@ def test_protocol_validation():
         Protocol(wavelength=633).validate()
 
 
+@pytest.mark.parametrize("bad", [dict(v=0.0), dict(v=-1.0),
+                                 dict(v=float("nan")), dict(v=float("inf")),
+                                 dict(u=-1.0), dict(u=float("nan")),
+                                 dict(u=float("inf"))])
+def test_protocol_rejects_bad_speeds(bad):
+    # v = 0 would divide the dose bookkeeping by zero; non-finite speeds
+    # pass every sign test and poison the fields silently
+    with pytest.raises(ConfigError):
+        Protocol(**bad).validate()
+
+
 def test_default_g_values():
     ps = params.default_params(810, 15.0)
     assert ps.optics_of(Region.BLOOD_ANNULUS).g == 0.5

@@ -11,6 +11,7 @@ Forcing-rate constants were frozen from an independent hand evaluation
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,21 @@ import pytest
 from evla import params, thermal
 from evla.fluence import DomainError
 from evla.params import Region
-from evla.thermal import (axial_mode, build_temperature, forcing_rates,
-                          growth_bracket, modal_eigenvalues, project_initial,
-                          steady_robin_offset)
+from evla.thermal import (BracketExhausted, axial_mode, build_temperature,
+                          forcing_rates, growth_bracket, modal_eigenvalues,
+                          project_initial, steady_robin_offset)
+
+# the 20 decay rates of the default tissue stack [1/s], recorded from the
+# scalar determinant scan with brentq refinement; the tissue thermal data do
+# not depend on the wavelength, so 810-15w and 980-15w share them
+ZETA_DEFAULT_STACK = (
+    -0.002004975708885595, -0.010770883930112395, -0.02942621450260554,
+    -0.05523647607979443, -0.08811781386189418, -0.13294052532574238,
+    -0.1869410842112843, -0.24395479929495362, -0.3090219820344255,
+    -0.38731265528616315, -0.471475326354261, -0.5557101904581383,
+    -0.650369392524117, -0.761160159914614, -0.8780401486205266,
+    -0.994737774662388, -1.1275007974012108, -1.2787998464991441,
+    -1.43088863458716, -1.5828949149444722)
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +146,35 @@ def test_modes_ordered_and_negative(modes810):
     zetas = [m.zeta for m in modes810]
     assert all(z < 0 for z in zetas)
     assert all(a > b for a, b in zip(zetas, zetas[1:]))
+
+
+@pytest.mark.parametrize("preset", ["810-15w", "980-15w"])
+def test_mode_rates_frozen(preset, modes810):
+    if preset == "810-15w":
+        modes = modes810
+    else:
+        modes = modal_eigenvalues(params.preset_params(preset), n_modes=20)
+    np.testing.assert_allclose([m.zeta for m in modes], ZETA_DEFAULT_STACK,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_mode_set_is_complete(all_presets):
+    # Sturm oscillation: mode n has exactly n zeros inside (r_i, r_s];
+    # counted here on a grid far finer than the one the search uses
+    for name, ps in all_presets.items():
+        geo = ps.geometry
+        r = np.linspace(geo.r_i, geo.r_s, 2001)[1:]
+        vals = thermal.mode_profiles(modal_eigenvalues(ps, n_modes=20), r)
+        for n, row in enumerate(vals):
+            s = np.sign(row[row != 0.0])
+            assert np.count_nonzero(s[1:] != s[:-1]) == n, (name, n)
+
+
+def test_skipped_root_is_detected(ps810):
+    # a step of 0.08 steps over the two slowest roots, which share one
+    # scan interval: enough brackets remain, but mode 0 has two zeros
+    with pytest.raises(BracketExhausted, match="changes sign"):
+        modal_eigenvalues(ps810, n_modes=20, du=0.08)
 
 
 def test_mode_interface_conditions(ps810, modes810):
@@ -272,6 +314,28 @@ def test_eval_domain_checks(temp810):
         temp810.eval(1.0, 0.0, 11.0)
     with pytest.raises(DomainError):
         temp810.eval(18.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("point", [(np.nan, 0.0, 1.0), (1.0, np.nan, 1.0),
+                                   (1.0, 0.0, np.nan), (np.inf, 0.0, 1.0)])
+def test_eval_rejects_non_finite(temp810, point):
+    with pytest.raises(DomainError):
+        temp810.eval(*point)
+
+
+@pytest.mark.parametrize("mode", ["derived", "printed"])
+def test_eval_on_repeated_radii_matches_pointwise(ps810, temp810, mode):
+    geo = ps810.geometry
+    temp = replace(temp810, mode=mode)
+    # every zone, its edges and repeats, in no particular order
+    r = np.array([geo.r_p, 0.1, geo.r_f, 2.0, geo.r_i, 0.1, 4.0, geo.r_w,
+                  8.0, geo.r_s, 15.0, geo.r_i, 2.0])
+    z = np.array([0.0, 1.5, 6.0])
+    t = np.array([0.0, 2.5, 10.0])
+    rr, zz, tt = np.meshgrid(r, z, t, indexing="ij")
+    grid = temp.eval(rr, zz, tt)
+    pointwise = np.vectorize(temp.eval)(rr, zz, tt)
+    np.testing.assert_allclose(grid, pointwise, rtol=1e-12, atol=0.0)
 
 
 def test_printed_variants_differ(ps810, sol810, modes810, offset810):
