@@ -25,7 +25,7 @@ import numpy as np
 
 from . import specfn
 from .params import (
-    ConfigError, ParameterSet, Region, derive_optics,
+    ConfigError, ParameterSet, Region, derive_optics, region_index,
 )
 
 OUTER_REGIONS = (Region.WALL, Region.PAD, Region.SKIN)
@@ -58,14 +58,6 @@ class NonPositiveRadicand(ConfigError):
 
 class DomainError(ValueError):
     """Evaluation point outside the domain of validity."""
-
-
-def region_index(r, geo):
-    """Index into tuple(Region) of the region holding each radius: the
-    zone edges go to the outer zone, as in params.region_of; no range
-    check."""
-    return np.searchsorted([geo.r_f, geo.r_i, geo.r_w, geo.r_p], r,
-                           side="right")
 
 
 def distinct_radii(r):

@@ -15,6 +15,8 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
+import numpy as np
+
 R_GAS = 8.314          # J/(mol K)
 C_LIGHT = 0.3          # mm/ps, vacuum speed of light
 N_DEFAULT = 1.4        # refractive index, blood and tissue alike
@@ -473,6 +475,13 @@ def region_of(r, geo: Geometry) -> Region:
     if r < geo.r_p:
         return Region.PAD
     return Region.SKIN
+
+
+def region_index(r, geo: Geometry):
+    """Index into tuple(Region) of the region holding each radius: the
+    zone edges go to the outer zone, as in region_of; no range check."""
+    return np.searchsorted([geo.r_f, geo.r_i, geo.r_w, geo.r_p], r,
+                           side="right")
 
 
 def registry_rows():

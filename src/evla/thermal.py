@@ -41,9 +41,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import specfn
-from .fluence import (FluenceSolution, assemble_and_solve, distinct_radii,
-                      region_index)
-from .params import ParameterSet, Region, derive_optics
+from .fluence import FluenceSolution, assemble_and_solve, distinct_radii
+from .params import ParameterSet, Region, derive_optics, region_index
 
 OUTER = (Region.WALL, Region.PAD, Region.SKIN)
 OUTER_FIRST = tuple(Region).index(Region.WALL)

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import damage, fdoracle, specfn, thermal
 from .fluence import assemble_and_solve
-from .params import ParameterSet, Region, default_params, derive_optics, \
-    region_of
+from .params import ParameterSet, Region, default_params, derive_optics
 
 # two-digit published constant-temperature crossing times [s]
 PUBLISHED_CRIT_TIMES = {
@@ -87,9 +86,9 @@ class _Ctx:
 
 def _timed(fn):
     def wrapper(ctx):
-        t0 = time.time()
+        t0 = time.perf_counter()
         out = fn(ctx)
-        out.seconds = time.time() - t0
+        out.seconds = time.perf_counter() - t0
         return out
     return wrapper
 
@@ -210,16 +209,13 @@ def criterion_a6(ctx):
 
     def forced_probe(family):
         mu = blood.mu_eff if family == "eff" else blood.mu_t
-        prof = sol.profile_eff if family == "eff" else sol.profile_t
+        pick = 0 if family == "eff" else 1
 
         def fld(rr, zz):
-            out = np.empty_like(rr)
-            for j in range(rr.shape[0]):
-                rv = rr[j, 0]
-                reg = region_of(min(rv, geo.r_s - 1e-12), geo)
-                out[j, :] = prof(reg, rv) * np.exp(
-                    -mu * (zz[j, :] + ps.protocol.v * ps.protocol.t_end))
-            return out
+            # one radial table per probe grid; rr rows are constant radii
+            prof = sol.profiles(rr[:, 0])[pick]
+            return prof[:, None] * np.exp(
+                -mu * (zz + ps.protocol.v * ps.protocol.t_end))
 
         react = {}
         for reg in Region:

@@ -12,7 +12,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
 from evla import fdoracle as fd
-from evla.params import Region, default_params
+from evla.fluence import assemble_and_solve
+from evla.params import Region, default_params, derive_optics
 
 
 # --- grids -------------------------------------------------------------------
@@ -122,6 +123,56 @@ def test_z_zero_flux_breaks_at_tip_plane(ps810, sol810):
     assert out.rel_l2 > 0.5              # measured ~1.0
 
 
+def _sparse_steady_reference(ps, sol, out, domain, rs_closure, z_closure):
+    """The steady system assembled from _stencil with identity rows on the
+    pinned nodes, solved by sparse LU: the reference for the separable
+    solve."""
+    grid = out.grid
+    geo = ps.geometry
+    nr, nz = grid.shape
+    diff_of = {reg: ps.derived_of(reg).D for reg in Region}
+    react_of = {reg: ps.optics_of(reg).mu_a for reg in Region}
+    d_face, d_cv, m_cv, s_cv = fd._per_node_coeffs(
+        grid, geo, diff_of, react_of,
+        inside_src_of=lambda rv: 1.0 if rv < geo.r_f else 0.0)
+    op = fd._stencil(grid, d_face, d_cv, m_cv)
+    blood = derive_optics(ps.blood_optics)
+    zeta = grid.z + ps.protocol.v * ps.protocol.t_end
+    q = (s_cv[:, None] * sol.src.S0 * np.exp(-blood.mu_t * zeta)[None, :]
+         * grid.area[:, None] * grid.dz)
+    q[:, zeta < 0.0] = 0.0
+
+    pinned = np.zeros(grid.shape, dtype=bool)
+    vals = out.phi_ref.copy()
+    if z_closure == "trace":
+        pinned[:, [0, -1]] = True
+    if rs_closure != "zero_flux":
+        pinned[-1, :] = True
+        if rs_closure == "zero_value":
+            vals[-1, :] = 0.0
+    if domain == "annulus":
+        pinned[0, :] = True
+    pin = pinned.ravel()
+    lhs = sp.diags(np.where(pin, 0.0, 1.0)) @ op + sp.diags(pin * 1.0)
+    rhs = np.where(pin, vals.ravel(), q.ravel())
+    return spl.spsolve(lhs.tocsc(), rhs).reshape(nr, nz)
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("z_closure", ["trace", "zero_flux"])
+@pytest.mark.parametrize("rs_closure", ["trace", "zero_value", "zero_flux"])
+@pytest.mark.parametrize("domain", ["annulus", "full"])
+def test_separable_solve_matches_sparse_direct(ps810, sol810, domain,
+                                               rs_closure, z_closure, scale):
+    out = fd.solve_steady_fluence(ps810, sol810, nr=30, nz=24, domain=domain,
+                                  rs_closure=rs_closure, z_closure=z_closure,
+                                  scale=scale)
+    want = _sparse_steady_reference(ps810, sol810, out, domain, rs_closure,
+                                    z_closure)
+    gap = np.linalg.norm(out.phi_fd - want) / np.linalg.norm(want)
+    assert gap <= 1e-12, gap
+
+
 def test_unknown_options_raise(ps810, sol810):
     with pytest.raises(ValueError):
         fd.solve_steady_fluence(ps810, sol810, nr=24, nz=24, domain="half")
@@ -191,3 +242,35 @@ def test_snapshot_bookkeeping(ps810):
     assert out.snapshots.shape == (3,) + out.grid.shape
     np.testing.assert_allclose(out.times, [0.0, 0.5, 1.0])
     assert np.all(out.snapshots[0] == ps810.protocol.T_b)
+
+
+def test_transient_advection_heated_pinned():
+    # flowing blood with the laser on: upwind lumen advection and heating
+    # together, against values recorded from the loop-assembled operator
+    ps = default_params(810, 15.0, u=70.0)
+    out = fd.solve_transient_temperature(ps, assemble_and_solve(ps), nr=24,
+                                         nz=20, dt=0.25,
+                                         snapshot_times=(0.5, 1.0))
+    assert int(np.sum(out.grid.r < ps.geometry.r_i)) == 16
+    want = np.array([
+        [38.00055098799867, 314.037868644746, 403.26997313308976,
+         397.5826852706531, 383.0915617597269],
+        [38.00055009842702, 313.9165071903765, 402.617059058416,
+         396.40807644009755, 381.62482909475665],
+        [38.000546256890274, 313.3252007213796, 400.1630448407846,
+         392.4820622262844, 376.98778470218446],
+        [38.000534820488305, 311.17346233635857, 394.2928117440487,
+         384.6873601623222, 368.57384225488096],
+        [38.000505086493526, 303.9063914698839, 382.2831743450305,
+         371.5975748449177, 355.73372814373283],
+        [37.9997433869982, 36.54584204240642, 150.56682141677004,
+         176.137285115844, 188.9476064593685],
+        [38.00077670597617, 390.11262088063233, 476.8693569549998,
+         469.1313943715008, 454.9340865865282],
+        [38.002427443560215, 719.2661237557295, 786.7486065928207,
+         753.141228875595, 717.4954845185987]])
+    np.testing.assert_allclose(out.snapshots[-1][:16:2, 7::3], want,
+                               rtol=1e-12)
+    np.testing.assert_allclose(out.snapshots.reshape(2, -1).sum(axis=1),
+                               [236784.33885693926, 390237.8180583217],
+                               rtol=1e-12)
