@@ -29,8 +29,8 @@ import numpy as np
 from . import validate as validate_mod
 from .damage import crit_time_table, damage_map
 from .fluence import DomainError, SolverError, assemble_and_solve
-from .params import (ConfigError, PRESETS, params_from_env_or_default,
-                     region_of, registry_rows)
+from .params import (ConfigError, PRESETS, Region,
+                     params_from_env_or_default, region_index, registry_rows)
 from .thermal import ThermalError, build_temperature
 
 EXIT_OK = 0
@@ -72,7 +72,7 @@ def _field_rows(ps, values_at, args, header):
     times = _parse_times(args.times)
     r = np.linspace(0.0, geo.r_s, nr)
     z = np.linspace(-geo.L, geo.L, nz)
-    regions = [region_of(min(rv, geo.r_s - 1e-12), geo).value for rv in r]
+    regions = [tuple(Region)[k].value for k in region_index(r, geo)]
     yield [*header]
     for t in times:
         keep = z >= -proto.v * t - 1e-12

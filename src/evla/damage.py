@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import MATERIAL_OF, R_GAS, ParameterSet, Region, region_of
+from .params import MATERIAL_OF, R_GAS, ParameterSet, Region, region_index
 
 _T_ABS_ZERO_C = -273.15
 
@@ -145,8 +145,8 @@ def damage_map(tsol, r_pts, z_pts, threshold=1.0, n_t=401) -> DamageMap:
     z_pts = np.asarray(z_pts, dtype=float)
     omega = np.zeros((r_pts.size, z_pts.size))
     t_cross = np.full((r_pts.size, z_pts.size), np.inf)
-    coeffs = [ps.thermal_of(region_of(min(rv, geo.r_s - 1e-12), geo))
-              for rv in r_pts]
+    coeffs = [ps.thermal_of(tuple(Region)[k])
+              for k in region_index(r_pts, geo)]
 
     for iz, zv in enumerate(z_pts):
         t0 = max(0.0, -zv / proto.v)

@@ -40,8 +40,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 from scipy.linalg import eigh_tridiagonal
 
-from .params import (ParameterSet, Region, derive_optics, region_index,
-                     region_of)
+from .params import ParameterSet, Region, derive_optics, region_index
 
 _MIN_NODES_PER_REGION = 8
 
@@ -110,37 +109,34 @@ def make_grid(geo, nr, nz, rmin=0.0, zmin=None, zmax=None, scale=1,
                   dz=float(z[1] - z[0]))
 
 
-def _per_node_coeffs(grid: Grid2D, geo, diff_of, react_of, inside_src_of):
+def _per_node_coeffs(grid: Grid2D, geo, diff_of, react_of, src_radius=None):
     """CV-averaged coefficients.
 
-    diff_of/react_of map Region -> constant; inside_src_of is the r < r_f
-    indicator weight (None to skip).  Returns radial-face diffusivity,
-    CV axial diffusivity, CV reaction and CV source weights.
+    diff_of/react_of map Region -> constant; src_radius is the radius of
+    the source column, whose indicator r < src_radius gives the source
+    weights (None to skip).  Each CV splits at its node into an inner and
+    an outer part, each with the coefficients of the region holding its
+    midpoint.  Returns radial-face diffusivity, CV axial diffusivity,
+    CV reaction and CV source weights.
     """
     r, lo, hi = grid.r, grid.lo, grid.hi
+    parts = ((r * r - lo * lo, 0.5 * (lo + r)),
+             (hi * hi - r * r, 0.5 * (r + hi)))     # (area, midpoint)
+    total = parts[0][0] + parts[1][0]
 
-    def at(rv):
-        return region_of(min(rv, geo.r_s - 1e-12), geo)
+    def average(coef_at):
+        return sum(np.where(area > 0, coef_at(mid) * area, 0.0)
+                   for area, mid in parts) / total
 
-    d_face = np.array([diff_of[at(0.5 * (r[j] + r[j + 1]))]
-                       for j in range(r.size - 1)])
-    d_cv = np.empty_like(r)
-    m_cv = np.empty_like(r)
-    s_cv = np.zeros_like(r)
-    for j, rv in enumerate(r):
-        a_in = rv * rv - lo[j] * lo[j]
-        a_out = hi[j] * hi[j] - rv * rv
-        total = a_in + a_out
-        reg_in = at(0.5 * (lo[j] + rv)) if a_in > 0 else None
-        reg_out = at(0.5 * (rv + hi[j])) if a_out > 0 else None
-        d_cv[j] = ((diff_of[reg_in] * a_in if reg_in else 0.0)
-                   + (diff_of[reg_out] * a_out if reg_out else 0.0)) / total
-        m_cv[j] = ((react_of[reg_in] * a_in if reg_in else 0.0)
-                   + (react_of[reg_out] * a_out if reg_out else 0.0)) / total
-        if inside_src_of is not None:
-            w_in = inside_src_of(0.5 * (lo[j] + rv)) if a_in > 0 else 0.0
-            w_out = inside_src_of(0.5 * (rv + hi[j])) if a_out > 0 else 0.0
-            s_cv[j] = (w_in * a_in + w_out * a_out) / total
+    def by_region(table):
+        values = np.array([table[reg] for reg in Region])
+        return lambda rv: values[region_index(rv, geo)]
+
+    d_face = by_region(diff_of)(0.5 * (r[1:] + r[:-1]))
+    d_cv = average(by_region(diff_of))
+    m_cv = average(by_region(react_of))
+    s_cv = np.zeros_like(r) if src_radius is None else average(
+        lambda rv: np.where(rv < src_radius, 1.0, 0.0))
     return d_face, d_cv, m_cv, s_cv
 
 
@@ -299,7 +295,7 @@ def solve_steady_fluence(ps: ParameterSet, sol, nr=300, nz=300,
     react_of = {reg: ps.optics_of(reg).mu_a for reg in Region}
     d_face, d_cv, m_cv, s_cv = _per_node_coeffs(
         grid, geo, diff_of, react_of,
-        inside_src_of=lambda rv: 1.0 if rv < geo.r_f else 0.0)
+        src_radius=geo.r_f)
 
     blood = derive_optics(ps.blood_optics)
     src = sol.src
@@ -375,7 +371,7 @@ def residual_probe(ps: ParameterSet, field, diff_of, react_of, source=None,
     def norms(scale):
         grid = make_grid(geo, nr, nz, rmin=rmin, scale=scale)
         d_face, d_cv, m_cv, _ = _per_node_coeffs(
-            grid, geo, diff_of, react_of, inside_src_of=None)
+            grid, geo, diff_of, react_of)
         op = _stencil(grid, d_face, d_cv, m_cv)
         rr, zz = grid.meshes()
         f = field(rr, zz)
@@ -393,11 +389,10 @@ def residual_probe(ps: ParameterSet, field, diff_of, react_of, source=None,
                 continue
             j = int(np.argmin(np.abs(grid.r - r_edge)))
             interior[max(0, j - h):j + h + 1, :] = False
+        reg_of = region_index(grid.r, geo)
         out = {}
-        for reg in Region:
-            m = np.array([region_of(min(rv, geo.r_s - 1e-12), geo) is reg
-                          for rv in grid.r])
-            pick = interior & m[:, None]
+        for k, reg in enumerate(Region):
+            pick = interior & (reg_of == k)[:, None]
             if pick.sum() == 0:
                 continue
             out[reg] = float(np.sqrt(np.mean(res[pick] ** 2)))
@@ -475,8 +470,7 @@ def solve_transient_temperature(ps: ParameterSet, sol, nr=200, nz=220,
     diff_of = {reg: ps.thermal_of(reg).k for reg in Region}
     c_b = ps.blood_thermal.c_p
     react_of = {reg: c_b * ps.thermal_of(reg).omega for reg in Region}
-    d_face, d_cv, m_cv, _ = _per_node_coeffs(grid, geo, diff_of, react_of,
-                                             inside_src_of=None)
+    d_face, d_cv, m_cv, _ = _per_node_coeffs(grid, geo, diff_of, react_of)
     op = _stencil(grid, d_face, d_cv, m_cv)
 
     # Robin at r_s: outward flux h (T - T_air) over the rim of each CV
@@ -505,8 +499,7 @@ def solve_transient_temperature(ps: ParameterSet, sol, nr=200, nz=220,
 
     # CV-averaged volumetric heat capacity (reuse the reaction averager)
     rho_cp_of = {reg: ps.thermal_of(reg).rho_cp for reg in Region}
-    _, _, rho_cp_cv, _ = _per_node_coeffs(grid, geo, diff_of, rho_cp_of,
-                                          inside_src_of=None)
+    _, _, rho_cp_cv, _ = _per_node_coeffs(grid, geo, diff_of, rho_cp_of)
     mass = ((rho_cp_cv * grid.area * grid.dz)[:, None]
             .repeat(nzn, axis=1).ravel())
     lhs = (sp.diags(mass / dt) + op).tocsc()

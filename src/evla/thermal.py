@@ -40,8 +40,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import specfn
 from .fluence import FluenceSolution, assemble_and_solve, distinct_radii
+from .layered import IK, JY, LayerSpec, RadialPiecewise, assemble, stack
 from .params import ParameterSet, Region, derive_optics, region_index
 
 OUTER = (Region.WALL, Region.PAD, Region.SKIN)
@@ -131,8 +131,20 @@ _MODES = ("derived", "printed", "printed_sqrt")
 # steady Robin offset
 # ---------------------------------------------------------------------------
 
+class _SingleProfile:
+    """eval / eval_deriv of a one-row radial `profile`; scalars in give
+    floats out."""
+
+    def eval(self, r, deriv=False):
+        out = (self.profile.derivs if deriv else self.profile.values)(r)[0]
+        return float(out) if out.ndim == 0 else out
+
+    def eval_deriv(self, r):
+        return self.eval(r, deriv=True)
+
+
 @dataclass(frozen=True)
-class OffsetProfile:
+class OffsetProfile(_SingleProfile):
     """Steady rise Theta(r) over [r_i, r_s]; zero in the lumen.
 
     Solves k (Theta'' + Theta'/r) = c_b omega Theta with Theta(r_i) = 0,
@@ -140,173 +152,47 @@ class OffsetProfile:
     k_s Theta' + h (Theta - gamma) = 0 at r_s, gamma = T_air - T_b.
     """
 
-    ps: ParameterSet
-    q: dict          # Region -> sqrt(c_b omega / k) [1/mm]
-    a1: dict
-    a2: dict
+    profile: RadialPiecewise     # I0/K0 in every tissue region
     gamma: float
 
-    def _dispatch(self, r, fn_pair):
-        geo = self.ps.geometry
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for reg, lo, hi in ((Region.WALL, geo.r_i, geo.r_w),
-                            (Region.PAD, geo.r_w, geo.r_p),
-                            (Region.SKIN, geo.r_p, geo.r_s)):
-            mask = (r >= lo) & ((r < hi) if reg is not Region.SKIN
-                                else (r <= hi + 1e-12))
-            if np.any(mask):
-                out[mask] = fn_pair(reg, r[mask])
-        if out.ndim == 0:
-            return float(out)
-        return out
 
-    def eval(self, r):
-        def val(reg, rr):
-            q = self.q[reg]
-            return (self.a1[reg] * specfn.i0(q * rr)
-                    + self.a2[reg] * specfn.k0(q * rr))
-        return self._dispatch(r, val)
-
-    def eval_deriv(self, r):
-        def der(reg, rr):
-            q = self.q[reg]
-            return q * (self.a1[reg] * specfn.i1(q * rr)
-                        - self.a2[reg] * specfn.k1(q * rr))
-        return self._dispatch(r, der)
+def _tissue_spec(ps, kind, q, outer_rhs=0.0):
+    """The tissue-annulus problem: zero value at r_i, value and k-flux
+    continuity at r_w and r_p, Robin row k R' + h R = outer_rhs at r_s."""
+    return LayerSpec(ps.geometry, OUTER_FIRST, kind, q,
+                     cond=[ps.thermal_of(reg).k for reg in OUTER],
+                     inner=(("value", 0.0),), outer="robin",
+                     outer_rhs=outer_rhs, h=ps.protocol.h_air)
 
 
 def steady_robin_offset(ps: ParameterSet) -> OffsetProfile:
-    geo = ps.geometry
     proto = ps.protocol
     gamma = proto.T_air - proto.T_b
     c_b = ps.blood_thermal.c_p
-    q = {}
-    k = {}
+    q = []
     for reg in OUTER:
         th = ps.thermal_of(reg)
         if th.omega <= 0.0:
             raise ThermalError(
                 "steady offset needs perfused outer layers (omega = 0 in %s)"
                 % reg.value)
-        q[reg] = math.sqrt(c_b * th.omega / th.k)
-        k[reg] = th.k
-
-    def pair(reg, r):
-        x = q[reg] * r
-        return (specfn.i0(x), specfn.k0(x),
-                q[reg] * specfn.i1(x), -q[reg] * specfn.k1(x))
-
-    m = np.zeros((6, 6))
-    rhs = np.zeros(6)
-    iw, kw, diw, dkw = pair(Region.WALL, geo.r_i)
-    m[0, 0], m[0, 1] = iw, kw                     # Theta(r_i) = 0
-    iw, kw, diw, dkw = pair(Region.WALL, geo.r_w)
-    ip, kp, dip, dkp = pair(Region.PAD, geo.r_w)
-    m[1, 0], m[1, 1], m[1, 2], m[1, 3] = iw, kw, -ip, -kp
-    m[2, 0], m[2, 1] = k[Region.WALL] * diw, k[Region.WALL] * dkw
-    m[2, 2], m[2, 3] = -k[Region.PAD] * dip, -k[Region.PAD] * dkp
-    ip, kp, dip, dkp = pair(Region.PAD, geo.r_p)
-    isk, ksk, disk, dksk = pair(Region.SKIN, geo.r_p)
-    m[3, 2], m[3, 3], m[3, 4], m[3, 5] = ip, kp, -isk, -ksk
-    m[4, 2], m[4, 3] = k[Region.PAD] * dip, k[Region.PAD] * dkp
-    m[4, 4], m[4, 5] = -k[Region.SKIN] * disk, -k[Region.SKIN] * dksk
-    isk, ksk, disk, dksk = pair(Region.SKIN, geo.r_s)
-    m[5, 4] = k[Region.SKIN] * disk + proto.h_air * isk
-    m[5, 5] = k[Region.SKIN] * dksk + proto.h_air * ksk
-    rhs[5] = proto.h_air * gamma
-
-    scale = np.max(np.abs(m), axis=0)
-    scale[scale == 0.0] = 1.0
-    x = np.linalg.solve(m / scale, rhs) / scale
-    a1 = {Region.WALL: x[0], Region.PAD: x[2], Region.SKIN: x[4]}
-    a2 = {Region.WALL: x[1], Region.PAD: x[3], Region.SKIN: x[5]}
-    return OffsetProfile(ps=ps, q=q, a1=a1, a2=a2, gamma=gamma)
+        q.append([math.sqrt(c_b * th.omega / th.k)])
+    spec = _tissue_spec(ps, np.full((len(OUTER), 1), IK), np.array(q),
+                        outer_rhs=proto.h_air * gamma)
+    profile, _ = assemble(spec).solve("Robin offset")
+    return OffsetProfile(profile=profile, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
 # modal relaxation over [r_i, r_s]
 # ---------------------------------------------------------------------------
 
-# specfn's mid-range quadrature holds (n, 128) temporaries; radial bases are
-# evaluated in slices of at most this many points to bound them
-_BASIS_CHUNK = 1536
-
-
-def _sliced(fn, x):
-    """fn(x) in slices of at most _BASIS_CHUNK points."""
-    if x.size <= _BASIS_CHUNK:
-        return fn(x)
-    flat = x.ravel()
-    return np.concatenate([fn(flat[i:i + _BASIS_CHUNK])
-                           for i in range(0, flat.size, _BASIS_CHUNK)]) \
-        .reshape(x.shape)
-
-
-def _basis(q, osc, r, deriv=False):
-    """Two-function radial basis (f, g) of one region, or its r-derivative.
-
-    q and osc are 1-D (one wavenumber and branch per row); rows with osc
-    use J0/Y0, the others I0/K0.  r is 1-D.  Each function is evaluated
-    by one specfn call per branch present (and per _BASIS_CHUNK points);
-    returns two (len(q), len(r)) arrays.
-    """
-    q = np.asarray(q, dtype=float)[:, None]
-    osc = np.asarray(osc, dtype=bool)
-    x = q * np.asarray(r, dtype=float)[None, :]
-    f = np.empty_like(x)
-    g = np.empty_like(x)
-    for branch in (True, False):
-        rows = osc == branch
-        if not np.any(rows):
-            continue
-        qq, xx = q[rows], x[rows]
-        if branch and deriv:
-            f[rows] = -qq * _sliced(specfn.j1, xx)
-            g[rows] = -qq * _sliced(specfn.y1, xx)
-        elif branch:
-            f[rows] = _sliced(specfn.j0, xx)
-            g[rows] = _sliced(specfn.y0, xx)
-        elif deriv:
-            f[rows] = qq * _sliced(specfn.i1, xx)
-            g[rows] = -qq * _sliced(specfn.k1, xx)
-        else:
-            f[rows] = _sliced(specfn.i0, xx)
-            g[rows] = _sliced(specfn.k0, xx)
-    return f, g
-
-
-def axial_mode(m, L, z):
-    """Axial shape cos[m pi (L - z)/(2 L)]; insulated at both z = +-L."""
-    z = np.asarray(z, dtype=float)
-    out = np.cos(m * math.pi * (L - z) / (2.0 * L))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 @dataclass(frozen=True)
-class RadialMode:
+class RadialMode(_SingleProfile):
     """One eigenfunction of the tissue-annulus relaxation problem."""
 
-    zeta: float          # decay rate [1/s], negative
-    m_axial: int
-    q: dict              # Region -> radial wavenumber
-    oscillatory: dict    # Region -> bool
-    coeff: dict          # Region -> (a, b) basis amplitudes
-    ps: ParameterSet
-
-    def eval(self, r):
-        return _scalar_or_array(mode_profiles((self,), r)[0])
-
-    def eval_deriv(self, r):
-        return _scalar_or_array(mode_profiles((self,), r, deriv=True)[0])
-
-
-def _scalar_or_array(out):
-    if out.ndim == 0:
-        return float(out)
-    return out
+    zeta: float                  # decay rate [1/s], negative
+    profile: RadialPiecewise     # one row over wall, pad, skin
 
 
 def mode_profiles(modes, r, deriv=False):
@@ -315,82 +201,25 @@ def mode_profiles(modes, r, deriv=False):
     Zero outside [r_i, r_s].  All modes are evaluated together: one
     specfn call per basis function, region and branch.
     """
-    geo = modes[0].ps.geometry
-    r = np.asarray(r, dtype=float)
-    flat = r.ravel()
-    out = np.zeros((len(modes), flat.size))
-    for reg, lo, hi in ((Region.WALL, geo.r_i, geo.r_w),
-                        (Region.PAD, geo.r_w, geo.r_p),
-                        (Region.SKIN, geo.r_p, geo.r_s)):
-        cols = (flat >= lo) & ((flat < hi) if reg is not Region.SKIN
-                               else (flat <= hi + 1e-12))
-        if not np.any(cols):
-            continue
-        f, g = _basis([m.q[reg] for m in modes],
-                      [m.oscillatory[reg] for m in modes], flat[cols], deriv)
-        a, b = np.array([m.coeff[reg] for m in modes]).T
-        out[:, cols] = a[:, None] * f + b[:, None] * g
-    return out.reshape((len(modes),) + r.shape)
+    prof = stack([m.profile for m in modes])
+    return prof.derivs(r) if deriv else prof.values(r)
 
 
-def _mode_wavenumbers(ps, u, m_axial):
-    """Per-region (q, oscillatory) arrays for trial rates zeta = -u^2."""
+def _mode_spec(ps, u):
+    """The tissue-annulus problem at the trial rates zeta = -u^2, one batch
+    column per entry of the 1-D array u."""
     c_b = ps.blood_thermal.c_p
-    eta2 = (m_axial * math.pi / (2.0 * ps.geometry.L)) ** 2
-    out = {}
+    kind, q = [], []
     for reg in OUTER:
         th = ps.thermal_of(reg)
-        chi = (th.rho_cp * u * u - c_b * th.omega) / th.k - eta2
-        out[reg] = (np.sqrt(np.abs(chi)), chi > 0.0)
-    return out
+        chi = (th.rho_cp * u * u - c_b * th.omega) / th.k
+        kind.append(np.where(chi > 0.0, JY, IK))
+        q.append(np.sqrt(np.abs(chi)))
+    return _tissue_spec(ps, np.array(kind), np.array(q))
 
 
-def _mode_matrices(ps, u, m_axial):
-    """Column-scaled 5x5 interface/boundary systems for the trial rates
-    zeta = -u^2, one per entry of the 1-D array u.
-
-    Unknowns: wall amplitude (its two-function combination already
-    vanishes at r_i), then (a, b) for pad and skin.  Rows: value and
-    k-flux continuity at r_w and r_p, Robin closure at r_s.  Returns
-    (m / scale, scale, wavenumbers, wall combination).
-    """
-    geo = ps.geometry
-    h = ps.protocol.h_air
-    wn = _mode_wavenumbers(ps, u, m_axial)
-    val, der = {}, {}
-    for reg, radii in ((Region.WALL, (geo.r_i, geo.r_w)),
-                       (Region.PAD, (geo.r_w, geo.r_p)),
-                       (Region.SKIN, (geo.r_p, geo.r_s))):
-        val[reg] = _basis(*wn[reg], radii)
-        der[reg] = _basis(*wn[reg], radii, deriv=True)
-    (fw, gw), (dfw, dgw) = val[Region.WALL], der[Region.WALL]
-    (fp, gp), (dfp, dgp) = val[Region.PAD], der[Region.PAD]
-    (fs, gs), (dfs, dgs) = val[Region.SKIN], der[Region.SKIN]
-    # wall combination vanishing at r_i
-    cw = (gw[:, 0], -fw[:, 0])
-    wv = cw[0] * fw[:, 1] + cw[1] * gw[:, 1]
-    wd = cw[0] * dfw[:, 1] + cw[1] * dgw[:, 1]
-    k_w = ps.thermal_of(Region.WALL).k
-    k_p = ps.thermal_of(Region.PAD).k
-    k_s = ps.thermal_of(Region.SKIN).k
-
-    m = np.zeros((u.size, 5, 5))
-    m[:, 0, :3] = np.stack([wv, -fp[:, 0], -gp[:, 0]], axis=-1)
-    m[:, 1, :3] = np.stack([k_w * wd, -k_p * dfp[:, 0], -k_p * dgp[:, 0]],
-                           axis=-1)
-    m[:, 2, 1:] = np.stack([fp[:, 1], gp[:, 1], -fs[:, 0], -gs[:, 0]],
-                           axis=-1)
-    m[:, 3, 1:] = np.stack([k_p * dfp[:, 1], k_p * dgp[:, 1],
-                            -k_s * dfs[:, 0], -k_s * dgs[:, 0]], axis=-1)
-    m[:, 4, 3] = k_s * dfs[:, 1] + h * fs[:, 1]
-    m[:, 4, 4] = k_s * dgs[:, 1] + h * gs[:, 1]
-    scale = np.max(np.abs(m), axis=1, keepdims=True)
-    scale[scale == 0.0] = 1.0
-    return m / scale, scale, wn, cw
-
-
-def _dets(ps, u, m_axial):
-    return np.linalg.det(_mode_matrices(ps, u, m_axial)[0])
+def _dets(ps, u):
+    return assemble(_mode_spec(ps, u)).det()
 
 
 def _refine_roots(f, a, b, fa, fb):
@@ -424,8 +253,8 @@ def _refine_roots(f, a, b, fa, fb):
                        "steps")
 
 
-def modal_eigenvalues(ps: ParameterSet, n_modes=20, m_axial=0,
-                      u_max=3.0, du=0.002) -> list:
+def modal_eigenvalues(ps: ParameterSet, n_modes=20, u_max=3.0,
+                      du=0.002) -> list:
     """First n_modes radial relaxation modes, slowest first.
 
     The scaled determinant of the interface system is scanned on a grid
@@ -445,13 +274,11 @@ def modal_eigenvalues(ps: ParameterSet, n_modes=20, m_axial=0,
     if n_modes <= 0:
         return []
     c_b = ps.blood_thermal.c_p
-    eta2 = (m_axial * math.pi / (2.0 * ps.geometry.L)) ** 2
     switches = []
     for reg in OUTER:
         th = ps.thermal_of(reg)
-        # chi = 0 when rho_cp u^2 = c_b omega + k eta2
-        switches.append(math.sqrt((c_b * th.omega + th.k * eta2)
-                                  / th.rho_cp))
+        # chi = 0 when rho_cp u^2 = c_b omega
+        switches.append(math.sqrt(c_b * th.omega / th.rho_cp))
     pts = sorted(s for s in switches if 0.0 < s < u_max)
     segments = []
     lo = 0.005
@@ -465,7 +292,7 @@ def modal_eigenvalues(ps: ParameterSet, n_modes=20, m_axial=0,
     for (a, b) in segments:
         n = max(8, int(round((b - a) / du)))
         us = np.linspace(a, b, n + 1)
-        ds = _dets(ps, us, m_axial)
+        ds = _dets(ps, us)
         for i in np.nonzero((ds[:-1] == 0.0) | (ds[:-1] * ds[1:] < 0.0))[0]:
             if ds[i] == 0.0:
                 brackets.append((us[i], us[i], 0.0, 0.0))
@@ -478,8 +305,8 @@ def modal_eigenvalues(ps: ParameterSet, n_modes=20, m_axial=0,
             "found %d of %d modes by u = %.3f; widen the scan"
             % (len(brackets), n_modes, u_max))
     a, b, fa, fb = np.array(brackets[:n_modes]).T
-    roots = _refine_roots(lambda uu: _dets(ps, uu, m_axial), a, b, fa, fb)
-    return _build_modes(ps, roots, m_axial)
+    roots = _refine_roots(lambda uu: _dets(ps, uu), a, b, fa, fb)
+    return _build_modes(ps, roots)
 
 
 def _sign_changes(vals):
@@ -488,29 +315,18 @@ def _sign_changes(vals):
     return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
-def _build_modes(ps, u, m_axial):
+def _build_modes(ps, u):
     """Normalised modes at the refined roots u, checked for completeness."""
-    ms, scale, wn, cw = _mode_matrices(ps, u, m_axial)
-    _, s, vt = np.linalg.svd(ms)
-    null = vt[:, -1, :] / scale[:, 0, :]
-    modes = []
-    for i, uu in enumerate(u):
-        if s[i, -2] < 1e-8 * s[i, 0]:
-            warnings.warn("near-degenerate mode at u = %.6f" % uu)
-        amp_w = null[i, 0]
-        modes.append(RadialMode(
-            zeta=float(-uu * uu), m_axial=m_axial,
-            q={reg: float(wn[reg][0][i]) for reg in OUTER},
-            oscillatory={reg: bool(wn[reg][1][i]) for reg in OUTER},
-            coeff={Region.WALL: (amp_w * cw[0][i], amp_w * cw[1][i]),
-                   Region.PAD: (null[i, 1], null[i, 2]),
-                   Region.SKIN: (null[i, 3], null[i, 4])},
-            ps=ps))
+    system = assemble(_mode_spec(ps, u))
+    _, s, vt = np.linalg.svd(system.m)
+    for uu in u[s[:, -2] < 1e-8 * s[:, 0]]:
+        warnings.warn("near-degenerate mode at u = %.6f" % uu)
+    prof = system.spec.piecewise(vt[:, -1, :] / system.scale[:, 0, :])
     # normalize: peak magnitude 1 over the annulus, first lobe positive
     geo = ps.geometry
     rr = np.linspace(geo.r_i, geo.r_s, 800)
-    vals = mode_profiles(modes, rr)
-    slope = mode_profiles(modes, np.array([geo.r_i]), deriv=True)[:, 0]
+    vals = prof.values(rr)
+    slope = prof.derivs(np.array([geo.r_i]))[:, 0]
     for n, row in enumerate(vals):
         found = _sign_changes(row[1:])
         if found != n:
@@ -518,9 +334,9 @@ def _build_modes(ps, u, m_axial):
                 "mode %d changes sign %d times on (r_i, r_s], expected %d: "
                 "the scan skipped a root; refine du" % (n, found, n))
     fac = np.where(slope > 0, 1.0, -1.0) / np.max(np.abs(vals), axis=1)
-    return [replace(m, coeff={reg: (a * f, b * f)
-                              for reg, (a, b) in m.coeff.items()})
-            for m, f in zip(modes, fac)]
+    prof = replace(prof, a=prof.a * fac, b=prof.b * fac)
+    return [RadialMode(zeta=float(-uu * uu), profile=prof.rows([i]))
+            for i, uu in enumerate(u)]
 
 
 def project_initial(ps: ParameterSet, modes, offset: OffsetProfile,
@@ -533,11 +349,9 @@ def project_initial(ps: ParameterSet, modes, offset: OffsetProfile,
     residual_l2).
     """
     geo = ps.geometry
-    spans = ((Region.WALL, geo.r_i, geo.r_w),
-             (Region.PAD, geo.r_w, geo.r_p),
-             (Region.SKIN, geo.r_p, geo.r_s))
+    edges = (geo.r_i, geo.r_w, geo.r_p, geo.r_s)
     rs, ws = [], []
-    for reg, lo, hi in spans:
+    for reg, lo, hi in zip(OUTER, edges, edges[1:]):
         n = n_per_region
         r = np.linspace(lo, hi, n + 1)
         w = np.ones(n + 1)
@@ -549,7 +363,7 @@ def project_initial(ps: ParameterSet, modes, offset: OffsetProfile,
         ws.append(w)
     r = np.concatenate(rs)
     w = np.concatenate(ws)
-    basis = np.array([m.eval(r) for m in modes])      # (M, N)
+    basis = mode_profiles(modes, r)                   # (M, N)
     target = -offset.eval(r)
     gram = (basis * w) @ basis.T
     rhs = (basis * w) @ target
@@ -636,7 +450,7 @@ class TemperatureSolution:
         ru, inv = distinct_radii(r)
         reg_u = region_index(ru, ps.geometry)
         reg = reg_u[inv]
-        p_eff, p_t = self.sol.profiles(ru)
+        prof = self.sol.profiles(ru)
         br_eff = np.empty_like(r)
         br_t = np.empty_like(r)
         for k, region in enumerate(Region):
@@ -644,20 +458,19 @@ class TemperatureSolution:
             if np.any(pts):
                 amp, br_eff[pts], br_t[pts] = self._forced_brackets(
                     region, t[pts])
-                p_eff[reg_u == k] *= amp
-                p_t[reg_u == k] *= amp
+                prof[:, reg_u == k] *= amp
+        p_eff, p_t = prof
         out = np.full_like(r, float(ps.protocol.T_b))
         out += (p_eff[inv] * br_eff * np.exp(-blood.mu_eff * z)
                 + p_t[inv] * br_t * np.exp(-blood.mu_t * z))
-        # offset and modal transient over the tissue, r >= r_i
-        n_lumen = int(np.count_nonzero(reg_u < OUTER_FIRST))
+        # offset and modal transient over the tissue, r >= r_i (their
+        # profiles vanish in the lumen)
         tissue = reg >= OUTER_FIRST
         if np.any(tissue):
-            rt = ru[n_lumen:]
-            at = inv[tissue] - n_lumen
+            at = inv[tissue]
             tt = t[tissue]
-            add = self.offset.eval(rt)[at]
-            table = self.amplitudes[:, None] * mode_profiles(self.modal, rt)
+            add = self.offset.eval(ru)[at]
+            table = self.amplitudes[:, None] * mode_profiles(self.modal, ru)
             for row, m in zip(table, self.modal):
                 add = add + row[at] * np.exp(m.zeta * tt)
             out[tissue] += add
@@ -667,11 +480,8 @@ class TemperatureSolution:
 
     def mode_table(self):
         """(index, zeta, q_wall, q_pad, q_skin, amplitude) rows."""
-        rows = []
-        for i, (c, m) in enumerate(zip(self.amplitudes, self.modal)):
-            rows.append((i, m.zeta, m.q[Region.WALL], m.q[Region.PAD],
-                         m.q[Region.SKIN], c))
-        return rows
+        return [(i, m.zeta, *m.profile.q[:, 0], c)
+                for i, (c, m) in enumerate(zip(self.amplitudes, self.modal))]
 
 
 def build_temperature(ps: ParameterSet, sol: FluenceSolution = None,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import damage, fdoracle, specfn, thermal
+from . import damage, fdoracle, layered, specfn, thermal
 from .fluence import assemble_and_solve
 from .params import ParameterSet, Region, default_params, derive_optics
 
@@ -150,28 +150,12 @@ def criterion_a4(ctx):
     z = np.linspace(0.0, geo.L, 100)
     e_eff = np.exp(-blood.mu_eff * z)
     e_t = np.exp(-blood.mu_t * z)
-    pairs = ((geo.r_f, Region.FIBER_COLUMN, Region.BLOOD_ANNULUS, False),
-             (geo.r_i, Region.BLOOD_ANNULUS, Region.WALL, True),
-             (geo.r_w, Region.WALL, Region.PAD, True),
-             (geo.r_p, Region.PAD, Region.SKIN, True))
-    worst = 0.0
-    for rb, rin, rout, with_flux in pairs:
-        v_in = (sol.profile_eff(rin, rb) * e_eff
-                + sol.profile_t(rin, rb) * e_t)
-        v_out = (sol.profile_eff(rout, rb) * e_eff
-                 + sol.profile_t(rout, rb) * e_t)
-        scale = np.maximum(np.abs(v_in), np.abs(v_out))
-        worst = max(worst, float(np.max(np.abs(v_in - v_out) / scale)))
-        if with_flux:
-            f_in = ps.derived_of(rin).D * (
-                sol.profile_eff_deriv(rin, rb) * e_eff
-                + sol.profile_t_deriv(rin, rb) * e_t)
-            f_out = ps.derived_of(rout).D * (
-                sol.profile_eff_deriv(rout, rb) * e_eff
-                + sol.profile_t_deriv(rout, rb) * e_t)
-            fscale = np.maximum(np.abs(f_in), np.abs(f_out))
-            worst = max(worst,
-                        float(np.max(np.abs(f_in - f_out) / fscale)))
+    d_of = [ps.derived_of(reg).D for reg in Region]
+    jumps = layered.interface_jumps(sol.radial, d_of,
+                                    weights=np.stack([e_eff, e_t]))
+    # the flat fiber column imposes no flux condition at r_f
+    jumps["r_f"] = jumps["r_f"][:1]
+    worst = max(max(pair) for pair in jumps.values())
     return CriterionResult(
         "A4", "interface continuity", worst <= 1e-9,
         "worst rel jump %.2e" % worst, "<= 1e-9 at 100 z pts", 0.0)

@@ -134,7 +134,7 @@ def _sparse_steady_reference(ps, sol, out, domain, rs_closure, z_closure):
     react_of = {reg: ps.optics_of(reg).mu_a for reg in Region}
     d_face, d_cv, m_cv, s_cv = fd._per_node_coeffs(
         grid, geo, diff_of, react_of,
-        inside_src_of=lambda rv: 1.0 if rv < geo.r_f else 0.0)
+        src_radius=geo.r_f)
     op = fd._stencil(grid, d_face, d_cv, m_cv)
     blood = derive_optics(ps.blood_optics)
     zeta = grid.z + ps.protocol.v * ps.protocol.t_end

@@ -152,11 +152,12 @@ def test_tip_irradiance_normalization_moves_peak(ps810):
 def test_zero_flux_closure_variant(ps810):
     sol = assemble_and_solve(ps810, closure="zero_flux")
     geo = ps810.geometry
-    d = sol.profile_t_deriv(Region.SKIN, geo.r_s)
+    d = sol.radial.at(Region.SKIN, geo.r_s, deriv=True)[1]
     assert abs(d) < 1e-9 * abs(sol.P_in)
     # default closure pins the oscillatory family's value instead
     sol0 = assemble_and_solve(ps810)
-    assert abs(sol0.profile_t(Region.SKIN, geo.r_s)) < 1e-9 * abs(sol0.P_in)
+    value = sol0.radial.at(Region.SKIN, geo.r_s)[1]
+    assert abs(value) < 1e-9 * abs(sol0.P_in)
 
 
 def test_conditioning_reported(sol810):
@@ -184,8 +185,10 @@ def test_lumen_to_annulus_flux_kink(ps810, sol810):
     # not on the annulus side; the mismatch is the price of a flat column
     geo = ps810.geometry
     D_b = ps810.derived_of(Region.BLOOD_ANNULUS).D
-    d_ann = (sol810.profile_t_deriv(Region.BLOOD_ANNULUS, geo.r_f)
-             + 0.0)  # eff family is flat in r inside r_i
+    # the eff family (row 0) is flat in r inside r_i
+    d_ann = sol810.radial.at(Region.BLOOD_ANNULUS, geo.r_f, deriv=True)
+    assert d_ann[0] == 0.0
+    d_ann = d_ann[1]
     assert abs(D_b * d_ann) > 100.0
 
 

@@ -1,5 +1,6 @@
 """Parameter registry, unit conversion and config parsing tests."""
 
+import numpy as np
 import pytest
 
 from evla import params
@@ -123,6 +124,10 @@ def test_region_of_boundaries():
     assert params.region_of(4.5, g) is Region.PAD
     assert params.region_of(14.5, g) is Region.SKIN
     assert params.region_of(17.5, g) is Region.SKIN
+    # the vectorised lookup agrees at every zone edge and at r_s
+    edges = np.array([0.0, g.r_f, g.r_i, g.r_w, g.r_p, g.r_s])
+    assert ([tuple(Region)[k] for k in params.region_index(edges, g)]
+            == [params.region_of(rv, g) for rv in edges])
     with pytest.raises(ValueError):
         params.region_of(-0.1, g)
     with pytest.raises(ValueError):

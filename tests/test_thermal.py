@@ -19,7 +19,7 @@ import pytest
 from evla import params, thermal
 from evla.fluence import DomainError
 from evla.params import Region
-from evla.thermal import (BracketExhausted, axial_mode, build_temperature,
+from evla.thermal import (BracketExhausted, build_temperature,
                           forcing_rates, growth_bracket, modal_eigenvalues,
                           project_initial, steady_robin_offset)
 
@@ -242,18 +242,6 @@ def test_mode_orthogonality(ps810, modes810):
     for i, j in pairs:
         rel = inner(modes810[i], modes810[j]) / math.sqrt(norms[i] * norms[j])
         assert abs(rel) < 1e-8, (i, j)
-
-
-def test_axial_mode_properties():
-    L = 10.0
-    z = np.linspace(-L, L, 7)
-    np.testing.assert_allclose(axial_mode(0, L, z), 1.0)
-    # insulated ends: numerical derivative vanishes at both caps
-    h = 1e-7
-    for m in (1, 2, 5):
-        for zc in (-L, L):
-            d = (axial_mode(m, L, zc + h) - axial_mode(m, L, zc - h)) / (2 * h)
-            assert abs(d) < 1e-6
 
 
 # --- projection ---------------------------------------------------------------
