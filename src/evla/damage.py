@@ -143,6 +143,8 @@ def damage_map(tsol, r_pts, z_pts, threshold=1.0, n_t=401) -> DamageMap:
     geo = ps.geometry
     r_pts = np.asarray(r_pts, dtype=float)
     z_pts = np.asarray(z_pts, dtype=float)
+    if np.any(r_pts < 0.0):
+        raise ValueError("negative radius in r_pts")
     omega = np.zeros((r_pts.size, z_pts.size))
     t_cross = np.full((r_pts.size, z_pts.size), np.inf)
     coeffs = [ps.thermal_of(tuple(Region)[k])

@@ -32,12 +32,13 @@ EDGES = ("r_f", "r_i", "r_w", "r_p")
 # evaluated in slices of at most this many points to bound them
 _BASIS_CHUNK = 1536
 
-# per kind: value functions, derivative functions of x = q r, and the
-# signs s_f, s_g of d/dr f = s_f q f1(q r):  J0' = -J1, Y0' = -Y1,
-# I0' = I1, K0' = -K1
+# per kind: the specfn names of the value functions and of the derivative
+# functions of x = q r, and the signs s_f, s_g of d/dr f = s_f q f1(q r):
+# J0' = -J1, Y0' = -Y1, I0' = I1, K0' = -K1.  Names, looked up on each
+# call, so that a wrapper installed on a specfn attribute sees every call.
 _FUNCS = {
-    JY: ((specfn.j0, specfn.y0), (specfn.j1, specfn.y1), (-1.0, -1.0)),
-    IK: ((specfn.i0, specfn.k0), (specfn.i1, specfn.k1), (1.0, -1.0)),
+    JY: (("j0", "y0"), ("j1", "y1"), (-1.0, -1.0)),
+    IK: (("i0", "k0"), ("i1", "k1"), (1.0, -1.0)),
 }
 
 
@@ -85,9 +86,10 @@ def basis(kind, q, r, deriv=False):
         rows = kind == k
         if not np.any(rows):
             continue
-        fns = derivs if deriv else values
-        f[rows] = _sliced(fns[0], x[rows])
-        g[rows] = _sliced(fns[1], x[rows])
+        fn_f, fn_g = (getattr(specfn, name)
+                      for name in (derivs if deriv else values))
+        f[rows] = _sliced(fn_f, x[rows])
+        g[rows] = _sliced(fn_g, x[rows])
         if deriv:
             g[rows] *= s_f * s_g
             c[rows] = s_f * q[rows]

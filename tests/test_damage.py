@@ -150,3 +150,11 @@ def test_damage_map_geometry(temp810):
     assert dm.t_cross[1, 0] >= 3.0
     # crossing flag and dose agree everywhere
     assert np.all(np.isfinite(dm.t_cross) == (dm.omega >= dm.threshold))
+
+
+def test_damage_map_rejects_negative_radius(temp810):
+    # z = -L is reached only at t_end, so no temperature is evaluated and
+    # the radius check is the only guard
+    with pytest.raises(ValueError, match="negative radius"):
+        damage.damage_map(temp810, np.array([0.5, -0.5]), np.array([-10.0]),
+                          n_t=3)
