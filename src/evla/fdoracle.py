@@ -112,12 +112,10 @@ def make_grid(geo, nr, nz, rmin=0.0, zmin=None, zmax=None, scale=1,
 def _per_node_coeffs(grid: Grid2D, geo, diff_of, react_of, src_radius=None):
     """CV-averaged coefficients.
 
-    diff_of/react_of map Region -> constant; src_radius is the radius of
-    the source column, whose indicator r < src_radius gives the source
-    weights (None to skip).  Each CV splits at its node into an inner and
-    an outer part, each with the coefficients of the region holding its
-    midpoint.  Returns radial-face diffusivity, CV axial diffusivity,
-    CV reaction and CV source weights.
+    diff_of/react_of map Region -> constant; src_radius is the source
+    column radius, whose r < src_radius indicator gives the source weights
+    (None to skip).  Returns radial-face diffusivity, CV axial
+    diffusivity, CV reaction and CV source weights.
     """
     r, lo, hi = grid.r, grid.lo, grid.hi
     parts = ((r * r - lo * lo, 0.5 * (lo + r)),

@@ -266,8 +266,6 @@ def assemble(spec: LayerSpec) -> InterfaceSystem:
                "robin": flux[-1][:, 1] + spec.h * val[-1][:, 1]}
     if closure[spec.outer] is not None:
         row(zones - 1, (closure[spec.outer],), spec.outer_rhs)
-    if len(rows) != n:
-        raise ValueError("%d rows for %d unknowns" % (len(rows), n))
     m = np.stack(rows, axis=1)
     scale = np.max(np.abs(m), axis=1, keepdims=True)
     scale[scale == 0.0] = 1.0
