@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fluence import DomainError
 from .params import MATERIAL_OF, R_GAS, ParameterSet, Region, region_index
 
 _T_ABS_ZERO_C = -273.15
@@ -136,15 +137,21 @@ def damage_map(tsol, r_pts, z_pts, threshold=1.0, n_t=401) -> DamageMap:
     (their rate there is negligible but still booked); once z >= -v t the
     temperature construction takes over.  The crossing time interpolates
     the running trapezoid dose linearly between samples, so its
-    resolution is set by n_t.
+    resolution is set by n_t.  Non-finite r or z and radii outside
+    [0, r_s] raise DomainError, whether or not any temperature is
+    evaluated.
     """
     ps = tsol.ps
     proto = ps.protocol
     geo = ps.geometry
     r_pts = np.asarray(r_pts, dtype=float)
     z_pts = np.asarray(z_pts, dtype=float)
+    if not (np.all(np.isfinite(r_pts)) and np.all(np.isfinite(z_pts))):
+        raise DomainError("non-finite r or z")
     if np.any(r_pts < 0.0):
-        raise ValueError("negative radius in r_pts")
+        raise DomainError("negative radius in r_pts")
+    if np.any(r_pts > geo.r_s + 1e-12):
+        raise DomainError("radius beyond r_s = %g in r_pts" % geo.r_s)
     omega = np.zeros((r_pts.size, z_pts.size))
     t_cross = np.full((r_pts.size, z_pts.size), np.inf)
     coeffs = [ps.thermal_of(tuple(Region)[k])

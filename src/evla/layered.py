@@ -28,10 +28,6 @@ FLAT, JY, IK = 0, 1, 2          # basis kinds: (1, 0), J0/Y0, I0/K0
 # the interface between zone k and zone k + 1 of tuple(Region)
 EDGES = ("r_f", "r_i", "r_w", "r_p")
 
-# specfn's mid-range quadrature holds (n, 128) temporaries; bases are
-# evaluated in slices of at most this many points to bound them
-_BASIS_CHUNK = 1536
-
 # per kind: the specfn names of the value functions and of the derivative
 # functions of x = q r, and the signs s_f, s_g of d/dr f = s_f q f1(q r):
 # J0' = -J1, Y0' = -Y1, I0' = I1, K0' = -K1.  Names, looked up on each
@@ -54,16 +50,6 @@ class SingularSystem(SolverError):
         self.cond = cond
 
 
-def _sliced(fn, x):
-    """fn(x) in slices of at most _BASIS_CHUNK points."""
-    if x.size <= _BASIS_CHUNK:
-        return fn(x)
-    flat = x.ravel()
-    return np.concatenate([fn(flat[i:i + _BASIS_CHUNK])
-                           for i in range(0, flat.size, _BASIS_CHUNK)]) \
-        .reshape(x.shape)
-
-
 def basis(kind, q, r, deriv=False):
     """(f, g, c) with (c f, c g) the basis of every row at the radii r, or
     its r-derivative.
@@ -72,8 +58,7 @@ def basis(kind, q, r, deriv=False):
     1-D.  f and g are (len(kind), len(r)); c is (len(kind), 1): 1 for
     values, s_f q for derivatives (g then carries the sign s_f s_g).  A
     combination's derivative is c (a f + b g), the factor applied once.
-    Each function is evaluated by one specfn call per kind present (and
-    per _BASIS_CHUNK points).
+    Each function is evaluated by one specfn call per kind present.
     """
     q = np.asarray(q, dtype=float)[:, None]
     x = q * np.asarray(r, dtype=float)[None, :]
@@ -88,8 +73,8 @@ def basis(kind, q, r, deriv=False):
             continue
         fn_f, fn_g = (getattr(specfn, name)
                       for name in (derivs if deriv else values))
-        f[rows] = _sliced(fn_f, x[rows])
-        g[rows] = _sliced(fn_g, x[rows])
+        f[rows] = fn_f(x[rows])
+        g[rows] = fn_g(x[rows])
         if deriv:
             g[rows] *= s_f * s_g
             c[rows] = s_f * q[rows]

@@ -4,17 +4,26 @@ Self-contained evaluation kernel for the radial factors of the fluence and
 temperature fields.  Three regimes per function:
 
   * power series about the origin (the classic expansions with harmonic
-    numbers and the Euler-Mascheroni constant),
-  * Gauss-Legendre quadrature applied to integral representations in the
-    mid range, where neither the series nor the asymptotic expansion can
-    reach 1e-12 in double precision (series: catastrophic cancellation,
-    e.g. the K0 series loses a factor exp(2x) of precision; asymptotics:
-    the divergent-series error floor is O(exp(-2x))),
+    numbers and the Euler-Mascheroni constant), from per-term weights
+    tabulated once, summed only for the series a function needs and only
+    to the length the call's largest argument needs;
+  * in the mid range, where neither the series nor the asymptotic
+    expansion can reach 1e-12 in double precision (series: catastrophic
+    cancellation, e.g. the K0 series loses a factor exp(2x) of precision;
+    asymptotics: the divergent-series error floor is O(exp(-2x))),
+    Chebyshev series of smooth, non-oscillating factors summed by
+    Clenshaw's recurrence: the modulus-phase P, Q of J and Y
+    (Abramowitz & Stegun 9.2.5-9.2.6) and K e^x sqrt(2x/pi).  The tables
+    are fitted at first use from Gauss-Legendre quadrature of integral
+    representations (the _quad_* functions), which stay the definition
+    of the mid range;
   * Hankel-type asymptotic expansions for large x.
 
-All entry points accept floats or numpy arrays and are vectorised.
-Accuracy target: relative error ~1e-13 away from zeros of the oscillatory
-functions, absolute error ~1e-15 times the envelope near their zeros.
+All entry points accept floats or numpy arrays and are vectorised; each
+point's value does not depend on the other points of the call beyond
+rounding.  Accuracy target: relative error ~1e-13 away from zeros of the
+oscillatory functions, absolute error ~1e-15 times the envelope near
+their zeros.
 """
 
 from __future__ import annotations
@@ -36,6 +45,10 @@ _K_QUAD_MAX = 20.0
 
 _SERIES_TOL = 1e-17
 _SERIES_CAP = 90
+
+# mid-range Chebyshev tables: fit nodes and terms kept
+_CHEB_NODES = 128
+_CHEB_TERMS = 36
 
 
 class BesselKind(enum.Enum):
@@ -80,67 +93,87 @@ def _map_gauss(a, b, n):
 # power series about the origin
 # ---------------------------------------------------------------------------
 
-def _series_sums(x):
-    """Return the six origin series needed for all eight functions.
+# term family of each origin series: 0 for t^n/(n!)^2, 1 for t^n/(n!(n+1)!)
+_SERIES_FAMILY = {"j0": 0, "i0": 0, "hj": 0, "hi": 0,
+                  "j1": 1, "i1": 1, "gj": 1, "gi": 1}
 
-    s_j0  = sum (-t)^n / (n!)^2                      -> J0(x)
-    s_j1  = sum (-t)^n / (n!(n+1)!)                  -> J1(x) = (x/2) s_j1
-    s_i0  = sum t^n / (n!)^2                         -> I0(x)
-    s_i1  = sum t^n / (n!(n+1)!)                     -> I1(x) = (x/2) s_i1
-    h_j   = sum_{n>=1} (-1)^{n+1} H_n t^n / (n!)^2   (log-companion of J0)
-    h_i   = sum_{n>=1} H_n t^n / (n!)^2              (log-companion of I0)
-    g_j   = sum (-1)^n (H_n + H_{n+1}) t^n/(n!(n+1)!)  (companion of J1)
-    g_i   = sum (H_n + H_{n+1}) t^n/(n!(n+1)!)         (companion of I1)
 
-    with t = x^2/4 and H_n the n-th harmonic number.
+@lru_cache(maxsize=None)
+def _series_weights():
+    """Weights w_0 .. w_CAP of the eight origin series, by name; each is
+    sum_n w_n T_n with T_n its family's term at t = x^2/4.
+
+    j0  = sum (-t)^n / (n!)^2                        -> J0(x)
+    j1  = sum (-t)^n / (n!(n+1)!)                    -> J1(x) = (x/2) j1
+    i0  = sum t^n / (n!)^2                           -> I0(x)
+    i1  = sum t^n / (n!(n+1)!)                       -> I1(x) = (x/2) i1
+    hj  = sum_{n>=1} (-1)^{n+1} H_n t^n / (n!)^2     (log-companion of J0)
+    hi  = sum_{n>=1} H_n t^n / (n!)^2                (log-companion of I0)
+    gj  = sum (-1)^n (H_n + H_{n+1}) t^n/(n!(n+1)!)  (companion of J1)
+    gi  = sum (H_n + H_{n+1}) t^n/(n!(n+1)!)         (companion of I1)
+
+    with H_n the n-th harmonic number, summed in order.
     """
-    t = 0.25 * x * x
-    term0 = np.ones_like(x)  # t^n/(n!)^2, signless
-    term1 = np.ones_like(x)  # t^n/(n!(n+1)!)
-    s_j0 = np.ones_like(x)
-    s_i0 = np.ones_like(x)
-    s_j1 = np.ones_like(x)
-    s_i1 = np.ones_like(x)
-    h_j = np.zeros_like(x)
-    h_i = np.zeros_like(x)
-    g_j = np.ones_like(x)  # n=0 term: H_0 + H_1 = 1
-    g_i = np.ones_like(x)
-    harmonic = 0.0
-    sign = 1.0
+    n = np.arange(_SERIES_CAP + 1)
+    harmonic = np.zeros(n.size)
+    harmonic[1:] = np.cumsum(1.0 / n[1:])
+    hh = 2.0 * harmonic + 1.0 / (n + 1)                # H_n + H_{n+1}
+    sign = np.where(n % 2, -1.0, 1.0)
+    ones = np.ones(n.size)
+    return {"j0": sign, "i0": ones, "hj": -sign * harmonic, "hi": harmonic,
+            "j1": sign, "i1": ones, "gj": sign * hh, "gi": hh}
+
+
+@lru_cache(maxsize=None)
+def _series_coeffs(names):
+    """(divisors, weights) of the named series, which share one family:
+    T_n = T_{n-1} t / divisors[n], weights one row per name."""
+    n = np.arange(_SERIES_CAP + 1, dtype=float)
+    divisors = n * (n + _SERIES_FAMILY[names[0]])
+    return divisors, np.array([_series_weights()[name] for name in names])
+
+
+def _series_terms(t):
+    """Number of series terms at t: stop at the first n with
+    t^n/(n!)^2 <= 1e-17 sum_{k<=n} t^k/(k!)^2 (at most _SERIES_CAP)."""
+    term = total = 1.0
     for n in range(1, _SERIES_CAP + 1):
-        harmonic += 1.0 / n
-        sign = -sign
-        term0 = term0 * t / (n * n)
-        term1 = term1 * t / (n * (n + 1))
-        s_j0 += sign * term0
-        s_i0 += term0
-        s_j1 += sign * term1
-        s_i1 += term1
-        h_j += -sign * harmonic * term0
-        h_i += harmonic * term0
-        hh = 2.0 * harmonic + 1.0 / (n + 1)  # H_n + H_{n+1}
-        g_j += sign * hh * term1
-        g_i += hh * term1
-        if np.all(term0 <= _SERIES_TOL * np.abs(s_i0)):
+        term = term * t / (n * n)
+        total += term
+        if term <= _SERIES_TOL * total:
             break
-    return t, s_j0, s_j1, s_i0, s_i1, h_j, h_i, g_j, g_i
+    return n + 1
+
+
+def _series(names, x):
+    """The named origin series at t = x^2/4, one row each, summed term by
+    term to the length the call's largest x needs."""
+    t = 0.25 * x * x
+    divisors, weights = _series_coeffs(names)
+    term = np.ones_like(t)
+    out = np.empty((len(names), t.size))
+    out[:] = weights[:, :1]
+    for n in range(1, _series_terms(float(np.max(t)))):
+        term = term * t / divisors[n]
+        out += weights[:, n:n + 1] * term
+    return out
 
 
 def _series_j0(x):
-    return _series_sums(x)[1]
+    return _series(("j0",), x)[0]
 
 
 def _series_j1(x):
-    return 0.5 * x * _series_sums(x)[2]
+    return 0.5 * x * _series(("j1",), x)[0]
 
 
 def _series_y0(x):
-    _, s_j0, _, _, _, h_j, _, _, _ = _series_sums(x)
+    s_j0, h_j = _series(("j0", "hj"), x)
     return (2.0 / np.pi) * ((np.log(0.5 * x) + EULER_GAMMA) * s_j0 + h_j)
 
 
 def _series_y1(x):
-    _, _, s_j1, _, _, _, _, g_j, _ = _series_sums(x)
+    s_j1, g_j = _series(("j1", "gj"), x)
     j1v = 0.5 * x * s_j1
     return (2.0 / np.pi) * (
         -1.0 / x
@@ -150,20 +183,20 @@ def _series_y1(x):
 
 
 def _series_i0(x):
-    return _series_sums(x)[3]
+    return _series(("i0",), x)[0]
 
 
 def _series_i1(x):
-    return 0.5 * x * _series_sums(x)[4]
+    return 0.5 * x * _series(("i1",), x)[0]
 
 
 def _series_k0(x):
-    _, _, _, s_i0, _, _, h_i, _, _ = _series_sums(x)
+    s_i0, h_i = _series(("i0", "hi"), x)
     return -(np.log(0.5 * x) + EULER_GAMMA) * s_i0 + h_i
 
 
 def _series_k1(x):
-    _, _, _, _, s_i1, _, _, _, g_i = _series_sums(x)
+    s_i1, g_i = _series(("i1", "gi"), x)
     i1v = 0.5 * x * s_i1
     return (
         1.0 / x
@@ -226,6 +259,72 @@ def _quad_k(x, order):
 
 
 # ---------------------------------------------------------------------------
+# mid-range Chebyshev tables, fitted from the quadrature
+# ---------------------------------------------------------------------------
+
+def _hankel_pq_quad(x):
+    """Rows P0, Q0, P1, Q1 of the modulus-phase form at x, from the
+    quadrature values of J and Y (the inverse of _modulus_phase)."""
+    amp = np.sqrt(2.0 / (np.pi * x))
+    rows = []
+    for nu, fn_j, fn_y in ((0.0, _quad_j0, _quad_y0),
+                           (1.0, _quad_j1, _quad_y1)):
+        chi = x - (2.0 * nu + 1.0) * np.pi / 4.0
+        jv, yv = fn_j(x) / amp, fn_y(x) / amp
+        rows += [jv * np.cos(chi) + yv * np.sin(chi),
+                 yv * np.cos(chi) - jv * np.sin(chi)]
+    return np.array(rows)
+
+
+def _scaled_k_quad(x):
+    """Rows S0, S1 with S_nu = K_nu(x) sqrt(2x/pi) e^x, from the
+    quadrature."""
+    scale = np.sqrt(2.0 * x / np.pi) * np.exp(x)
+    return np.array([_quad_k(x, 0), _quad_k(x, 1)]) * scale
+
+
+@lru_cache(maxsize=None)
+def _cheb_coeffs(fit_source, lo, hi):
+    """First _CHEB_TERMS Chebyshev coefficients on [lo, hi] of each row of
+    fit_source, by the discrete cosine sum over _CHEB_NODES Chebyshev
+    nodes; the constant term is halved."""
+    theta = np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES
+    x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(theta)
+    cosines = np.cos(np.outer(theta, np.arange(_CHEB_TERMS)))
+    coef = (2.0 / _CHEB_NODES) * fit_source(x) @ cosines
+    coef[:, 0] *= 0.5
+    return coef
+
+
+def _clenshaw(coef, lo, hi, x):
+    """sum_j coef[:, j] T_j(s) at s = (2x - lo - hi)/(hi - lo), one row per
+    coefficient row (Clenshaw's recurrence)."""
+    s = (2.0 * x - (hi + lo)) / (hi - lo)
+    s2 = 2.0 * s
+    b1 = np.zeros((coef.shape[0], x.size))
+    b2 = np.zeros_like(b1)
+    for j in range(coef.shape[1] - 1, 0, -1):
+        b1, b2 = s2 * b1 - b2 + coef[:, j:j + 1], b1
+    return s * b1 - b2 + coef[:, :1]
+
+
+def _cheb_jy(x, nu, want_y):
+    lo, hi = _JY_SERIES_MAX, _JY_QUAD_MAX
+    row = 2 * int(nu)
+    p, q = _clenshaw(_cheb_coeffs(_hankel_pq_quad, lo, hi)[row:row + 2],
+                     lo, hi, x)
+    return _modulus_phase(x, nu, p, q, want_y)
+
+
+def _cheb_k(x, nu):
+    lo, hi = _K_SERIES_MAX, _K_QUAD_MAX
+    row = int(nu)
+    s = _clenshaw(_cheb_coeffs(_scaled_k_quad, lo, hi)[row:row + 1],
+                  lo, hi, x)[0]
+    return s * np.sqrt(np.pi / (2.0 * x)) * np.exp(-x)
+
+
+# ---------------------------------------------------------------------------
 # large-argument asymptotic expansions
 # ---------------------------------------------------------------------------
 
@@ -251,13 +350,19 @@ def _hankel_pq(x, nu):
     return p, q
 
 
-def _asym_jy(x, nu, want_y):
-    p, q = _hankel_pq(x, nu)
+def _modulus_phase(x, nu, p, q, want_y):
+    """J_nu = A (P cos chi - Q sin chi) or Y_nu = A (P sin chi + Q cos chi),
+    A = sqrt(2/(pi x)), chi = x - (2 nu + 1) pi/4 (A&S 9.2.5-9.2.6)."""
     chi = x - (2.0 * nu + 1.0) * np.pi / 4.0
     amp = np.sqrt(2.0 / (np.pi * x))
     if want_y:
         return amp * (p * np.sin(chi) + q * np.cos(chi))
     return amp * (p * np.cos(chi) - q * np.sin(chi))
+
+
+def _asym_jy(x, nu, want_y):
+    p, q = _hankel_pq(x, nu)
+    return _modulus_phase(x, nu, p, q, want_y)
 
 
 def _asym_sum(x, nu, alternating):
@@ -329,26 +434,30 @@ def _dispatch(x, cuts, fns, positive_only=False):
 def j0(x):
     """Bessel function of the first kind, order zero."""
     return _dispatch(x, (_JY_SERIES_MAX, _JY_QUAD_MAX),
-                     (_series_j0, _quad_j0, lambda v: _asym_jy(v, 0.0, False)))
+                     (_series_j0, lambda v: _cheb_jy(v, 0.0, False),
+                      lambda v: _asym_jy(v, 0.0, False)))
 
 
 def j1(x):
     """Bessel function of the first kind, order one."""
     return _dispatch(x, (_JY_SERIES_MAX, _JY_QUAD_MAX),
-                     (_series_j1, _quad_j1, lambda v: _asym_jy(v, 1.0, False)))
+                     (_series_j1, lambda v: _cheb_jy(v, 1.0, False),
+                      lambda v: _asym_jy(v, 1.0, False)))
 
 
 def y0(x):
     """Bessel function of the second kind, order zero.  Requires x > 0."""
     return _dispatch(x, (_JY_SERIES_MAX, _JY_QUAD_MAX),
-                     (_series_y0, _quad_y0, lambda v: _asym_jy(v, 0.0, True)),
+                     (_series_y0, lambda v: _cheb_jy(v, 0.0, True),
+                      lambda v: _asym_jy(v, 0.0, True)),
                      positive_only=True)
 
 
 def y1(x):
     """Bessel function of the second kind, order one.  Requires x > 0."""
     return _dispatch(x, (_JY_SERIES_MAX, _JY_QUAD_MAX),
-                     (_series_y1, _quad_y1, lambda v: _asym_jy(v, 1.0, True)),
+                     (_series_y1, lambda v: _cheb_jy(v, 1.0, True),
+                      lambda v: _asym_jy(v, 1.0, True)),
                      positive_only=True)
 
 
@@ -367,14 +476,16 @@ def i1(x):
 def k0(x):
     """Modified Bessel function of the second kind, order zero.  x > 0."""
     return _dispatch(x, (_K_SERIES_MAX, _K_QUAD_MAX),
-                     (_series_k0, lambda v: _quad_k(v, 0), lambda v: _asym_k(v, 0.0)),
+                     (_series_k0, lambda v: _cheb_k(v, 0),
+                      lambda v: _asym_k(v, 0.0)),
                      positive_only=True)
 
 
 def k1(x):
     """Modified Bessel function of the second kind, order one.  x > 0."""
     return _dispatch(x, (_K_SERIES_MAX, _K_QUAD_MAX),
-                     (_series_k1, lambda v: _quad_k(v, 1), lambda v: _asym_k(v, 1.0)),
+                     (_series_k1, lambda v: _cheb_k(v, 1),
+                      lambda v: _asym_k(v, 1.0)),
                      positive_only=True)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from evla import damage
+from evla.fluence import DomainError
 from evla.params import MATERIALS, Region
 
 # two-digit published crossing times [s] for unit dose at constant T
@@ -158,3 +159,17 @@ def test_damage_map_rejects_negative_radius(temp810):
     with pytest.raises(ValueError, match="negative radius"):
         damage.damage_map(temp810, np.array([0.5, -0.5]), np.array([-10.0]),
                           n_t=3)
+
+
+@pytest.mark.parametrize("r,z", [
+    (25.0, -10.0),           # beyond r_s = 17.5
+    (np.nan, -10.0),
+    (np.inf, -10.0),
+    (0.5, np.nan),
+    (0.5, -np.inf),
+])
+def test_damage_map_rejects_bad_points(temp810, r, z):
+    # z = -10 (and -inf) is never reached before t_end, so no temperature
+    # is evaluated: the input check alone must catch these
+    with pytest.raises(DomainError):
+        damage.damage_map(temp810, np.array([0.5, r]), np.array([z]), n_t=3)

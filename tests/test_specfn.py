@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evla import specfn
 from oracles import (
@@ -87,6 +89,86 @@ def test_crossover_continuity():
     pair(specfn._series_k1, lambda v: specfn._quad_k(v, 1), 4.0)
     pair(lambda v: specfn._quad_k(v, 0), lambda v: specfn._asym_k(v, 0.0), 20.0)
     pair(lambda v: specfn._quad_k(v, 1), lambda v: specfn._asym_k(v, 1.0), 20.0)
+
+
+def _cheb_jy(nu, want_y):
+    return lambda v: specfn._cheb_jy(v, nu, want_y)
+
+
+def _cheb_k(nu):
+    return lambda v: specfn._cheb_k(v, nu)
+
+
+JY_MID = [  # (table, quadrature it is fitted from, series, asymptotic)
+    (_cheb_jy(0.0, False), specfn._quad_j0, specfn._series_j0,
+     lambda v: specfn._asym_jy(v, 0.0, False)),
+    (_cheb_jy(1.0, False), specfn._quad_j1, specfn._series_j1,
+     lambda v: specfn._asym_jy(v, 1.0, False)),
+    (_cheb_jy(0.0, True), specfn._quad_y0, specfn._series_y0,
+     lambda v: specfn._asym_jy(v, 0.0, True)),
+    (_cheb_jy(1.0, True), specfn._quad_y1, specfn._series_y1,
+     lambda v: specfn._asym_jy(v, 1.0, True)),
+]
+K_MID = [
+    (_cheb_k(0), lambda v: specfn._quad_k(v, 0), specfn._series_k0,
+     lambda v: specfn._asym_k(v, 0.0)),
+    (_cheb_k(1), lambda v: specfn._quad_k(v, 1), specfn._series_k1,
+     lambda v: specfn._asym_k(v, 1.0)),
+]
+
+
+@pytest.mark.parametrize("table,quad,_series,_asym", JY_MID,
+                         ids=["j0", "j1", "y0", "y1"])
+def test_jy_table_matches_quadrature(table, quad, _series, _asym):
+    x = np.linspace(7.5, 40.0, 6501)[:-1]
+    envelope = np.sqrt(2.0 / (np.pi * x))
+    assert np.max(np.abs(table(x) - quad(x)) / envelope) <= 1e-14
+
+
+@pytest.mark.parametrize("table,quad,_series,_asym", K_MID, ids=["k0", "k1"])
+def test_k_table_matches_quadrature(table, quad, _series, _asym):
+    x = np.linspace(4.0, 20.0, 6401)[:-1]
+    assert np.max(np.abs(table(x) / quad(x) - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "table,series,asym,edges,relative",
+    [(t, s, a, (7.5, 40.0), False) for t, _q, s, a in JY_MID]
+    + [(t, s, a, (4.0, 20.0), True) for t, _q, s, a in K_MID],
+    ids=["j0", "j1", "y0", "y1", "k0", "k1"])
+def test_table_continuity(table, series, asym, edges, relative):
+    # the tables against the regimes on either side, at the switch points:
+    # J/Y relative to the envelope sqrt(2/(pi x)), K relative to its value
+    for edge, other in zip(edges, (series, asym)):
+        e = np.array([edge])
+        want = other(e)[0]
+        scale = abs(want) if relative else np.sqrt(2.0 / (np.pi * edge))
+        assert abs(table(e)[0] - want) < 5e-13 * scale
+
+
+@pytest.mark.parametrize("ours,_theirs,_ref,_pos", PAIRS,
+                         ids=[p[0].__name__ for p in PAIRS])
+def test_batch_independence(ours, _theirs, _ref, _pos):
+    # every regime in one call; each value must not depend on the others
+    x = np.concatenate([RNG.uniform(1e-3, 60.0, 300),
+                        [1e-6, 3.99, 4.0, 7.49, 7.5, 16.9, 17.0, 20.0,
+                         39.9, 40.0, 150.0]])
+    batch = ours(x)
+    single = np.array([ours(v) for v in x])
+    envelope = np.maximum(np.abs(single), np.sqrt(2.0 / (np.pi * x)))
+    assert np.all(np.abs(batch - single) <= 1e-15 * envelope)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=1e-6, max_value=100.0), min_size=1,
+                max_size=40))
+def test_property_against_scipy(xs):
+    x = np.array(xs)
+    scale = np.sqrt(2.0 / (np.pi * x))
+    for ours, theirs, _ref, _pos in PAIRS:
+        want = theirs(x)
+        bound = 1e-12 * np.maximum(np.abs(want), scale)
+        assert np.all(np.abs(ours(x) - want) <= bound), ours.__name__
 
 
 def test_wronskians():
