@@ -99,9 +99,10 @@ _SERIES_FAMILY = {"j0": 0, "i0": 0, "hj": 0, "hi": 0,
 
 
 @lru_cache(maxsize=None)
-def _series_weights():
-    """Weights w_0 .. w_CAP of the eight origin series, by name; each is
-    sum_n w_n T_n with T_n its family's term at t = x^2/4.
+def _series_coeffs(names):
+    """(divisors, weights) of the named origin series, which share one
+    family.  Each series is sum_n w_n T_n with T_0 = 1 and
+    T_n = T_{n-1} t / divisors[n], t = x^2/4:
 
     j0  = sum (-t)^n / (n!)^2                        -> J0(x)
     j1  = sum (-t)^n / (n!(n+1)!)                    -> J1(x) = (x/2) j1
@@ -112,7 +113,8 @@ def _series_weights():
     gj  = sum (-1)^n (H_n + H_{n+1}) t^n/(n!(n+1)!)  (companion of J1)
     gi  = sum (H_n + H_{n+1}) t^n/(n!(n+1)!)         (companion of I1)
 
-    with H_n the n-th harmonic number, summed in order.
+    with H_n the n-th harmonic number, summed in order.  The weights are
+    one row per name.
     """
     n = np.arange(_SERIES_CAP + 1)
     harmonic = np.zeros(n.size)
@@ -120,17 +122,11 @@ def _series_weights():
     hh = 2.0 * harmonic + 1.0 / (n + 1)                # H_n + H_{n+1}
     sign = np.where(n % 2, -1.0, 1.0)
     ones = np.ones(n.size)
-    return {"j0": sign, "i0": ones, "hj": -sign * harmonic, "hi": harmonic,
-            "j1": sign, "i1": ones, "gj": sign * hh, "gi": hh}
-
-
-@lru_cache(maxsize=None)
-def _series_coeffs(names):
-    """(divisors, weights) of the named series, which share one family:
-    T_n = T_{n-1} t / divisors[n], weights one row per name."""
-    n = np.arange(_SERIES_CAP + 1, dtype=float)
+    weights = {"j0": sign, "i0": ones, "hj": -sign * harmonic,
+               "hi": harmonic, "j1": sign, "i1": ones, "gj": sign * hh,
+               "gi": hh}
     divisors = n * (n + _SERIES_FAMILY[names[0]])
-    return divisors, np.array([_series_weights()[name] for name in names])
+    return divisors.astype(float), np.array([weights[name] for name in names])
 
 
 def _series_terms(t):
@@ -147,7 +143,11 @@ def _series_terms(t):
 
 def _series(names, x):
     """The named origin series at t = x^2/4, one row each, summed term by
-    term to the length the call's largest x needs."""
+    term to the length the call's largest x needs.
+
+    Term by term rather than by Horner's rule: equally accurate, but
+    test_transient_advection_heated_pinned amplifies the series' rounding
+    about 100-fold and pins values recorded with this summation order."""
     t = 0.25 * x * x
     divisors, weights = _series_coeffs(names)
     term = np.ones_like(t)
