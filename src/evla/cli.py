@@ -26,7 +26,6 @@ import sys
 
 import numpy as np
 
-from . import validate as validate_mod
 from .damage import crit_time_table, damage_map
 from .fluence import DomainError, SolverError, assemble_and_solve
 from .params import (ConfigError, PRESETS, Region,
@@ -41,8 +40,11 @@ EXIT_SOLVER = 3
 DEFAULT_TIMES = "0,2.5,5,7.5,10"
 
 
+FMT = "%.9g"
+
+
 def _fmt(value):
-    return "%.9g" % value
+    return FMT % value
 
 
 def _parse_times(text):
@@ -65,34 +67,47 @@ def _parse_grid(text):
     return nr, nz
 
 
-def _field_rows(ps, values_at, args, header):
-    """Shared CSV driver for the fluence and temperature dumps."""
+def _fmt_col(values):
+    """_fmt of every element of an array, same shape."""
+    return np.char.mod(FMT, values)
+
+
+def _write_rows(out, *columns):
+    """Write one CSV row per point of the 2-D grid the string arrays
+    columns broadcast to, one grid row at a time."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    columns = [np.broadcast_to(c, shape) for c in columns]
+    for i in range(shape[0]):
+        cells = zip(*(c[i].tolist() for c in columns))
+        out.write("".join(",".join(row) + "\n" for row in cells))
+
+
+def _write_field(ps, values_at, args, header, out):
+    """Shared CSV writer of the fluence and temperature dumps: r and z are
+    formatted once, then each time slice is evaluated, formatted and
+    written before the next."""
     geo, proto = ps.geometry, ps.protocol
     nr, nz = _parse_grid(args.grid)
     times = _parse_times(args.times)
     r = np.linspace(0.0, geo.r_s, nr)
     z = np.linspace(-geo.L, geo.L, nz)
-    regions = [tuple(Region)[k].value for k in region_index(r, geo)]
-    yield [*header]
+    regions = np.array([tuple(Region)[k].value
+                        for k in region_index(r, geo)])
+    r_txt, z_txt = _fmt_col(r), _fmt_col(z)
+    out.write(",".join(header) + "\n")
     for t in times:
         keep = z >= -proto.v * t - 1e-12
-        zk = z[keep]
-        if zk.size == 0:
+        if not np.any(keep):
             continue
-        vals = values_at(r[:, None], zk[None, :], t)
-        for i, rv in enumerate(r):
-            for j, zv in enumerate(zk):
-                yield [_fmt(rv), _fmt(zv), _fmt(t), regions[i],
-                       _fmt(vals[i, j])]
+        vals = values_at(r[:, None], z[keep][None, :], t)
+        _write_rows(out, r_txt[:, None], z_txt[keep][None, :], _fmt(t),
+                    regions[:, None], _fmt_col(vals))
 
 
 def _cmd_fluence(ps, args, out):
     sol = assemble_and_solve(ps)
-    writer = csv.writer(out, lineterminator="\n")
-    for row in _field_rows(ps, sol.eval, args,
-                           ("r_mm", "z_mm", "t_s", "region",
-                            "phi_W_per_mm2")):
-        writer.writerow(row)
+    _write_field(ps, sol.eval, args,
+                 ("r_mm", "z_mm", "t_s", "region", "phi_W_per_mm2"), out)
     return EXIT_OK
 
 
@@ -102,10 +117,8 @@ def _cmd_temperature(ps, args, out):
               "rates grow with u" % ps.protocol.u, file=sys.stderr)
     sol = assemble_and_solve(ps)
     temp = build_temperature(ps, sol, mode=args.form, n_modes=args.modes)
-    writer = csv.writer(out, lineterminator="\n")
-    for row in _field_rows(ps, temp.eval, args,
-                           ("r_mm", "z_mm", "t_s", "region", "T_C")):
-        writer.writerow(row)
+    _write_field(ps, temp.eval, args,
+                 ("r_mm", "z_mm", "t_s", "region", "T_C"), out)
     return EXIT_OK
 
 
@@ -125,19 +138,20 @@ def _cmd_damage(ps, args, out):
                     np.linspace(-geo.L, geo.L, nz),
                     threshold=args.threshold)
     writer.writerow(("r_mm", "z_mm", "omega", "t_crit_s"))
-    for i, rv in enumerate(dm.r):
-        for j, zv in enumerate(dm.z):
-            writer.writerow((_fmt(rv), _fmt(zv), _fmt(dm.omega[i, j]),
-                             _fmt(dm.t_cross[i, j])))
+    _write_rows(out, _fmt_col(dm.r)[:, None], _fmt_col(dm.z)[None, :],
+                _fmt_col(dm.omega), _fmt_col(dm.t_cross))
     return EXIT_OK
 
 
 def _cmd_validate(ps, args, out):
+    # imported here: validate pulls in the FD oracle and scipy.sparse,
+    # which no other subcommand needs
+    from . import validate
     names = None
     if args.only:
         names = [v.strip() for v in args.only.split(",") if v.strip()]
     try:
-        results = validate_mod.run(names, ps=ps)
+        results = validate.run(names, ps=ps)
     except KeyError as exc:
         raise ConfigError(exc.args[0])
     failed = 0

@@ -20,16 +20,19 @@ _T_ABS_ZERO_C = -273.15
 
 
 def arrhenius_rate(temp_c, A, E_a):
-    """Damage rate A exp(-E_a/(R T)) [1/s] at temp_c [degC].
+    """Damage rate A exp(-E_a/(R T)) [1/s] at temp_c [degC]; temp_c, A
+    and E_a broadcast.
 
     Zero at or below absolute zero (the divergent temperature model can
     produce such samples; a vanishing rate is the only sane reading).
     """
-    t_k = np.asarray(temp_c, dtype=float) - _T_ABS_ZERO_C
+    t_k, A, E_a = np.broadcast_arrays(
+        np.asarray(temp_c, dtype=float) - _T_ABS_ZERO_C,
+        np.asarray(A, dtype=float), np.asarray(E_a, dtype=float))
     ok = t_k > 0.0
-    out = np.zeros_like(t_k)
+    out = np.zeros(t_k.shape)
     if np.any(ok):
-        out[ok] = A * np.exp(-E_a / (R_GAS * t_k[ok]))
+        out[ok] = A[ok] * np.exp(-E_a[ok] / (R_GAS * t_k[ok]))
     if out.ndim == 0:
         return float(out)
     return out
@@ -60,11 +63,13 @@ def damage_integral(times, temps, A, E_a):
 
 
 def cumulative_damage(times, temps, A, E_a):
-    """Trapezoid running dose at each sample time (starts at zero)."""
+    """Trapezoid running dose at each sample time along the last axis
+    (starts at zero); the arguments broadcast."""
     times = np.asarray(times, dtype=float)
     rate = arrhenius_rate(np.asarray(temps, dtype=float), A, E_a)
     out = np.zeros_like(rate)
-    out[1:] = np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(times))
+    out[..., 1:] = np.cumsum(0.5 * (rate[..., 1:] + rate[..., :-1])
+                             * np.diff(times, axis=-1), axis=-1)
     return out
 
 
@@ -130,14 +135,34 @@ class DamageMap:
     threshold: float
 
 
+def _first_crossing(hist_t, cum, threshold):
+    """Time at which each running dose cum (..., n_t) first reaches
+    threshold, linear between the samples hist_t (broadcast against cum);
+    inf where it never does."""
+    hit = cum >= threshold
+    k = np.argmax(hit, axis=-1)[..., None]
+    prev = np.maximum(k - 1, 0)
+    hist_t = np.broadcast_to(hist_t, cum.shape)
+    t_lo, t_hi = (np.take_along_axis(hist_t, i, -1)[..., 0] for i in (prev, k))
+    c_lo, c_hi = (np.take_along_axis(cum, i, -1)[..., 0] for i in (prev, k))
+    # c_hi > c_lo wherever k > 0 and the threshold is reached
+    step = k[..., 0] > 0
+    frac = (threshold - c_lo) / np.where(step, c_hi - c_lo, 1.0)
+    t = np.where(step, t_lo + frac * (t_hi - t_lo), t_hi)
+    return np.where(np.any(hit, axis=-1), t, np.inf)
+
+
 def damage_map(tsol, r_pts, z_pts, threshold=1.0, n_t=401) -> DamageMap:
     """Accumulate the dose along each (r, z) sample's history.
 
     Points the moving tip has not yet passed sit at blood temperature
     (their rate there is negligible but still booked); once z >= -v t the
-    temperature construction takes over.  The crossing time interpolates
-    the running trapezoid dose linearly between samples, so its
-    resolution is set by n_t.  Non-finite r or z and radii outside
+    temperature construction takes over, sampled at n_t times from the
+    arrival t0(z) to t_end.  Every z column the tip reaches before t_end
+    is evaluated by one tsol.eval over (r, z, t); a column reached only at
+    t_end keeps the dose booked at blood temperature.  The crossing time
+    interpolates the running trapezoid dose linearly between samples, so
+    its resolution is set by n_t.  Non-finite r or z and radii outside
     [0, r_s] raise DomainError, whether or not any temperature is
     evaluated.
     """
@@ -152,33 +177,21 @@ def damage_map(tsol, r_pts, z_pts, threshold=1.0, n_t=401) -> DamageMap:
         raise DomainError("negative radius in r_pts")
     if np.any(r_pts > geo.r_s + 1e-12):
         raise DomainError("radius beyond r_s = %g in r_pts" % geo.r_s)
-    omega = np.zeros((r_pts.size, z_pts.size))
-    t_cross = np.full((r_pts.size, z_pts.size), np.inf)
-    coeffs = [ps.thermal_of(tuple(Region)[k])
-              for k in region_index(r_pts, geo)]
-
-    for iz, zv in enumerate(z_pts):
-        t0 = max(0.0, -zv / proto.v)
-        if t0 >= proto.t_end:
-            hist_t = np.array([proto.t_end])
-            temps = np.full((r_pts.size, 1), proto.T_b)
-        else:
-            hist_t = np.linspace(t0, proto.t_end, n_t)
-            temps = tsol.eval(r_pts[:, None], zv, hist_t[None, :])
-        for ir in range(r_pts.size):
-            th = coeffs[ir]
-            base = arrhenius_rate(proto.T_b, th.A, th.E_a) * t0
-            cum = base + cumulative_damage(hist_t, temps[ir], th.A, th.E_a)
-            omega[ir, iz] = cum[-1]
-            hit = np.nonzero(cum >= threshold)[0]
-            if hit.size:
-                k = hit[0]
-                if k == 0:
-                    t_cross[ir, iz] = hist_t[0]
-                else:
-                    frac = ((threshold - cum[k - 1])
-                            / (cum[k] - cum[k - 1]))
-                    t_cross[ir, iz] = (hist_t[k - 1]
-                                       + frac * (hist_t[k] - hist_t[k - 1]))
+    th = [ps.thermal_of(tuple(Region)[k]) for k in region_index(r_pts, geo)]
+    A = np.array([c.A for c in th])[:, None]
+    E_a = np.array([c.E_a for c in th])[:, None]
+    t0 = np.maximum(0.0, -z_pts / proto.v)
+    # dose booked at blood temperature before the tip arrives, (nr, nz)
+    omega = arrhenius_rate(proto.T_b, A, E_a) * t0
+    t_cross = np.where(omega >= threshold, proto.t_end, np.inf)
+    live = t0 < proto.t_end
+    if np.any(live):
+        hist_t = np.linspace(t0[live], proto.t_end, n_t, axis=-1)
+        temps = tsol.eval(r_pts[:, None, None], z_pts[live][None, :, None],
+                          hist_t)
+        cum = omega[:, live, None] + cumulative_damage(
+            hist_t, temps, A[..., None], E_a[..., None])
+        omega[:, live] = cum[..., -1]
+        t_cross[:, live] = _first_crossing(hist_t, cum, threshold)
     return DamageMap(r=r_pts, z=z_pts, omega=omega, t_cross=t_cross,
                      threshold=threshold)

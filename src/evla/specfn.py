@@ -28,7 +28,6 @@ their zeros.
 
 from __future__ import annotations
 
-import enum
 from functools import lru_cache
 
 import numpy as np
@@ -49,19 +48,6 @@ _SERIES_CAP = 90
 # mid-range Chebyshev tables: fit nodes and terms kept
 _CHEB_NODES = 128
 _CHEB_TERMS = 36
-
-
-class BesselKind(enum.Enum):
-    """Selector used by the generic ``bessel`` dispatcher."""
-
-    J0 = "j0"
-    J1 = "j1"
-    Y0 = "y0"
-    Y1 = "y1"
-    I0 = "i0"
-    I1 = "i1"
-    K0 = "k0"
-    K1 = "k1"
 
 
 class SpecFnDomainError(ValueError):
@@ -487,19 +473,6 @@ def k1(x):
                      (_series_k1, lambda v: _cheb_k(v, 1),
                       lambda v: _asym_k(v, 1.0)),
                      positive_only=True)
-
-
-_TABLE = {
-    BesselKind.J0: j0, BesselKind.J1: j1,
-    BesselKind.Y0: y0, BesselKind.Y1: y1,
-    BesselKind.I0: i0, BesselKind.I1: i1,
-    BesselKind.K0: k0, BesselKind.K1: k1,
-}
-
-
-def bessel(kind: BesselKind, x):
-    """Evaluate the selected function; see the individual entry points."""
-    return _TABLE[kind](x)
 
 
 def wronskian_standard(x):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -384,7 +384,14 @@ def project_initial(ps: ParameterSet, modes, offset: OffsetProfile,
 
 @dataclass(frozen=True)
 class TemperatureSolution:
-    """T(r, z, t) over the cylinder for t in [0, t_end], z >= -v t."""
+    """T(r, z, t) over the cylinder for t in [0, t_end], z >= -v t.
+
+    Every term is a radial profile times an axial and a time factor.
+    `radial` holds all the radial profiles, built once per solution: row 0
+    the fluence mu_eff profile, row 1 the mu_t profile, row 2 the Robin
+    offset and rows 3, 4, ... the modes (offset and modes zero in the
+    lumen).
+    """
 
     ps: ParameterSet
     sol: FluenceSolution
@@ -395,6 +402,12 @@ class TemperatureSolution:
     amplitudes: np.ndarray
     projection_residual_max: float
     projection_residual_l2: float
+    radial: RadialPiecewise = field(init=False, repr=False)
+
+    def __post_init__(self):
+        tissue = [self.offset.profile] + [m.profile for m in self.modal]
+        object.__setattr__(self, "radial", stack(
+            [self.sol.radial, stack(tissue).flat_inside(0.0)]))
 
     def _forced_brackets(self, reg, t):
         """Radial amplitude factor and time brackets of both forced
@@ -437,9 +450,8 @@ class TemperatureSolution:
     def eval(self, r, z, t):
         """Temperature [degC]; arrays broadcast; domain z >= -v t.
 
-        Every radial profile (forced families, Robin offset, modes) is
-        evaluated once per distinct radius; axial exponentials and time
-        brackets per point.
+        The radial table is evaluated once, on the distinct radii; axial
+        exponentials and time factors per point.
         """
         r, z, t = np.broadcast_arrays(
             np.asarray(r, dtype=float), np.asarray(z, dtype=float),
@@ -450,7 +462,8 @@ class TemperatureSolution:
         ru, inv = distinct_radii(r)
         reg_u = region_index(ru, ps.geometry)
         reg = reg_u[inv]
-        prof = self.sol.profiles(ru)
+        table = self.radial.values(ru)
+        prof = table[:2]
         br_eff = np.empty_like(r)
         br_t = np.empty_like(r)
         for k, region in enumerate(Region):
@@ -469,19 +482,14 @@ class TemperatureSolution:
         if np.any(tissue):
             at = inv[tissue]
             tt = t[tissue]
-            add = self.offset.eval(ru)[at]
-            table = self.amplitudes[:, None] * mode_profiles(self.modal, ru)
-            for row, m in zip(table, self.modal):
+            add = table[2][at]
+            modes = self.amplitudes[:, None] * table[3:]
+            for row, m in zip(modes, self.modal):
                 add = add + row[at] * np.exp(m.zeta * tt)
             out[tissue] += add
         if out.ndim == 0:
             return float(out)
         return out
-
-    def mode_table(self):
-        """(index, zeta, q_wall, q_pad, q_skin, amplitude) rows."""
-        return [(i, m.zeta, *m.profile.q[:, 0], c)
-                for i, (c, m) in enumerate(zip(self.amplitudes, self.modal))]
 
 
 def build_temperature(ps: ParameterSet, sol: FluenceSolution = None,

@@ -1,7 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import evla
 from evla import cli, validate
 from evla.validate import CriterionResult
 
@@ -115,6 +120,18 @@ def test_validate_reports_failure_with_exit_one(tmp_path, monkeypatch):
     assert cli.main(["validate", "--only", "a3", "--out", str(out)]) == 1
     text = out.read_text()
     assert "FAIL" in text and "0 of 1" in text
+
+
+def test_import_leaves_the_oracle_unloaded():
+    # only `evla validate` needs the FD oracle and scipy.sparse
+    src = str(Path(evla.__file__).resolve().parents[1])
+    code = ("import sys, evla.cli; "
+            "print(sorted(m for m in ('evla.fdoracle', 'scipy.sparse') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_errors_exit_two(tmp_path, capsys):

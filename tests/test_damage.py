@@ -9,13 +9,14 @@ hand evaluation of (1/A) exp[E_a/(R T_K)]:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from evla import damage
+from evla import damage, params, thermal
 from evla.fluence import DomainError
-from evla.params import MATERIALS, Region
+from evla.params import MATERIALS, Region, region_index
 
 # two-digit published crossing times [s] for unit dose at constant T
 PUBLISHED = {
@@ -173,3 +174,83 @@ def test_damage_map_rejects_bad_points(temp810, r, z):
     # is evaluated: the input check alone must catch these
     with pytest.raises(DomainError):
         damage.damage_map(temp810, np.array([0.5, r]), np.array([z]), n_t=3)
+
+
+def _loop_damage_map(tsol, r_pts, z_pts, threshold=1.0, n_t=401):
+    """The per-z, per-radius damage_map that the vectorised one replaced,
+    kept as its reference: one eval per z, one history per radius."""
+    ps = tsol.ps
+    proto = ps.protocol
+    omega = np.zeros((r_pts.size, z_pts.size))
+    t_cross = np.full((r_pts.size, z_pts.size), np.inf)
+    coeffs = [ps.thermal_of(tuple(Region)[k])
+              for k in region_index(r_pts, ps.geometry)]
+    for iz, zv in enumerate(z_pts):
+        t0 = max(0.0, -zv / proto.v)
+        if t0 >= proto.t_end:
+            hist_t = np.array([proto.t_end])
+            temps = np.full((r_pts.size, 1), proto.T_b)
+        else:
+            hist_t = np.linspace(t0, proto.t_end, n_t)
+            temps = tsol.eval(r_pts[:, None], zv, hist_t[None, :])
+        for ir in range(r_pts.size):
+            th = coeffs[ir]
+            base = damage.arrhenius_rate(proto.T_b, th.A, th.E_a) * t0
+            cum = base + damage.cumulative_damage(hist_t, temps[ir], th.A,
+                                                  th.E_a)
+            omega[ir, iz] = cum[-1]
+            hit = np.nonzero(cum >= threshold)[0]
+            if hit.size:
+                k = hit[0]
+                if k == 0:
+                    t_cross[ir, iz] = hist_t[0]
+                else:
+                    frac = ((threshold - cum[k - 1])
+                            / (cum[k] - cum[k - 1]))
+                    t_cross[ir, iz] = (hist_t[k - 1]
+                                       + frac * (hist_t[k] - hist_t[k - 1]))
+    return omega, t_cross
+
+
+@pytest.fixture(scope="module", params=["810-15w", "980-15w"])
+def preset_temp(request):
+    return thermal.build_temperature(params.preset_params(request.param))
+
+
+@pytest.mark.parametrize("threshold,n_t", [
+    (1.0, 201),
+    (1e-30, 201),      # crossed at the first sample wherever t0 > 0
+    (0.0, 201),        # crossed at the first sample everywhere
+    (1e300, 201),      # never reached
+    (1.0, 3),
+])
+def test_damage_map_matches_loop(preset_temp, threshold, n_t, monkeypatch):
+    geo = preset_temp.ps.geometry
+    r = np.array([0.0, geo.r_f, 1.0, geo.r_i, geo.r_w, 6.0, geo.r_p, 12.0,
+                  geo.r_s])
+    # z = -L is reached only at t_end (a column booked at T_b); z = 0
+    # starts its history at t = 0
+    z = np.linspace(-geo.L, geo.L, 9)
+    assert preset_temp.ps.protocol.v * preset_temp.ps.protocol.t_end \
+        == geo.L
+    want_omega, want_t = _loop_damage_map(preset_temp, r, z, threshold, n_t)
+    calls = []
+    inner = thermal.TemperatureSolution.eval
+
+    def counted(self, *args):
+        calls.append(args)
+        return inner(self, *args)
+
+    monkeypatch.setattr(thermal.TemperatureSolution, "eval", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dm = damage.damage_map(preset_temp, r, z, threshold=threshold,
+                               n_t=n_t)
+    assert len(calls) == 1
+    for got, want in ((dm.omega, want_omega), (dm.t_cross, want_t)):
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    if threshold == 0.0:
+        assert np.all(dm.t_cross[:, :-1] == np.maximum(0.0, -z[:-1]))
+    if threshold == 1e300:
+        assert np.all(dm.t_cross == np.inf)

@@ -186,12 +186,6 @@ def test_scalar_and_array_shapes():
     assert out[0, 1] == pytest.approx(specfn.j0(1.0), abs=1e-15)
 
 
-def test_dispatcher_enum():
-    for kind, fn in [(specfn.BesselKind.J0, specfn.j0),
-                     (specfn.BesselKind.K1, specfn.k1)]:
-        assert specfn.bessel(kind, 2.5) == fn(2.5)
-
-
 def test_domain_errors():
     with pytest.raises(ValueError):
         specfn.j0(-1.0)

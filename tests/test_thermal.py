@@ -350,12 +350,6 @@ def test_printed_variants_differ(ps810, sol810, modes810, offset810):
         printed.eval(0.1, 0.5, 2.5), rel=1e-14)
 
 
-def test_mode_table(temp810):
-    rows = temp810.mode_table()
-    assert len(rows) == 20
-    assert rows[0][1] > rows[-1][1]      # zeta ordering
-
-
 def test_build_temperature_rejects_bad_mode(ps810, sol810):
     with pytest.raises(thermal.ThermalError):
         build_temperature(ps810, sol810, mode="exact")
