@@ -18,6 +18,10 @@ from .params import MATERIAL_OF, R_GAS, ParameterSet, Region, region_index
 
 _T_ABS_ZERO_C = -273.15
 
+# history samples per temperature evaluation in damage_map: bounds the
+# (r, z, t) temporaries of eval (tens of bytes per sample) on large maps
+_EVAL_POINTS = 1 << 17
+
 
 def arrhenius_rate(temp_c, A, E_a):
     """Damage rate A exp(-E_a/(R T)) [1/s] at temp_c [degC]; temp_c, A
@@ -158,9 +162,10 @@ def damage_map(tsol, r_pts, z_pts, threshold=1.0, n_t=401) -> DamageMap:
     Points the moving tip has not yet passed sit at blood temperature
     (their rate there is negligible but still booked); once z >= -v t the
     temperature construction takes over, sampled at n_t times from the
-    arrival t0(z) to t_end.  Every z column the tip reaches before t_end
-    is evaluated by one tsol.eval over (r, z, t); a column reached only at
-    t_end keeps the dose booked at blood temperature.  The crossing time
+    arrival t0(z) to t_end.  The z columns the tip reaches before t_end
+    are evaluated together, by one tsol.eval over (r, z, t) per block of
+    at most _EVAL_POINTS samples; a column reached only at t_end keeps the
+    dose booked at blood temperature.  The crossing time
     interpolates the running trapezoid dose linearly between samples, so
     its resolution is set by n_t.  Non-finite r or z and radii outside
     [0, r_s] raise DomainError, whether or not any temperature is
@@ -184,14 +189,16 @@ def damage_map(tsol, r_pts, z_pts, threshold=1.0, n_t=401) -> DamageMap:
     # dose booked at blood temperature before the tip arrives, (nr, nz)
     omega = arrhenius_rate(proto.T_b, A, E_a) * t0
     t_cross = np.where(omega >= threshold, proto.t_end, np.inf)
-    live = t0 < proto.t_end
-    if np.any(live):
-        hist_t = np.linspace(t0[live], proto.t_end, n_t, axis=-1)
-        temps = tsol.eval(r_pts[:, None, None], z_pts[live][None, :, None],
+    live = np.nonzero(t0 < proto.t_end)[0]
+    per_eval = max(1, _EVAL_POINTS // max(1, r_pts.size * n_t))
+    for start in range(0, live.size, per_eval):
+        cols = live[start:start + per_eval]
+        hist_t = np.linspace(t0[cols], proto.t_end, n_t, axis=-1)
+        temps = tsol.eval(r_pts[:, None, None], z_pts[cols][None, :, None],
                           hist_t)
-        cum = omega[:, live, None] + cumulative_damage(
+        cum = omega[:, cols, None] + cumulative_damage(
             hist_t, temps, A[..., None], E_a[..., None])
-        omega[:, live] = cum[..., -1]
-        t_cross[:, live] = _first_crossing(hist_t, cum, threshold)
+        omega[:, cols] = cum[..., -1]
+        t_cross[:, cols] = _first_crossing(hist_t, cum, threshold)
     return DamageMap(r=r_pts, z=z_pts, omega=omega, t_cross=t_cross,
                      threshold=threshold)

@@ -254,3 +254,23 @@ def test_damage_map_matches_loop(preset_temp, threshold, n_t, monkeypatch):
         assert np.all(dm.t_cross[:, :-1] == np.maximum(0.0, -z[:-1]))
     if threshold == 1e300:
         assert np.all(dm.t_cross == np.inf)
+
+
+def test_damage_map_blocks_match_one_eval(temp810, monkeypatch):
+    geo = temp810.ps.geometry
+    r = np.linspace(0.0, geo.r_s, 7)
+    z = np.linspace(-geo.L, geo.L, 10)         # nine live columns
+    whole = damage.damage_map(temp810, r, z, n_t=51)
+    calls = []
+    inner = thermal.TemperatureSolution.eval
+
+    def counted(self, *args):
+        calls.append(args)
+        return inner(self, *args)
+
+    monkeypatch.setattr(thermal.TemperatureSolution, "eval", counted)
+    monkeypatch.setattr(damage, "_EVAL_POINTS", 2 * 7 * 51)
+    blocks = damage.damage_map(temp810, r, z, n_t=51)
+    assert len(calls) == 5                      # 2 + 2 + 2 + 2 + 1 columns
+    np.testing.assert_array_equal(blocks.omega, whole.omega)
+    np.testing.assert_array_equal(blocks.t_cross, whole.t_cross)
