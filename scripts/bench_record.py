@@ -68,7 +68,7 @@ def criterion_seconds():
     sys.path.insert(0, str(SRC))
     from evla import validate
 
-    return {res.name: {"seconds": res.seconds, "passed": res.passed,
+    return {res.name: {"seconds": res.seconds, "passed": bool(res.passed),
                        "measured": res.measured}
             for res in validate.run(list(CRITERIA))}
 
