@@ -43,8 +43,13 @@ DEFAULT_TIMES = "0,2.5,5,7.5,10"
 FMT = "%.9g"
 
 
-def _fmt(value):
-    return FMT % value
+def _fmt(values):
+    """FMT of a number (a str), or of every element of an array (an object
+    array of str, same shape)."""
+    if np.ndim(values) == 0:
+        return FMT % values
+    text = [FMT % v for v in np.ravel(values).tolist()]
+    return np.array(text, dtype=object).reshape(np.shape(values))
 
 
 def _parse_times(text):
@@ -65,11 +70,6 @@ def _parse_grid(text):
     if nr < 2 or nz < 2:
         raise ConfigError("--grid wants at least 2,2")
     return nr, nz
-
-
-def _fmt_col(values):
-    """_fmt of every element of an array, same shape."""
-    return np.char.mod(FMT, values)
 
 
 def _write_rows(out, *columns):
@@ -93,7 +93,7 @@ def _write_field(ps, values_at, args, header, out):
     z = np.linspace(-geo.L, geo.L, nz)
     regions = np.array([tuple(Region)[k].value
                         for k in region_index(r, geo)])
-    r_txt, z_txt = _fmt_col(r), _fmt_col(z)
+    r_txt, z_txt = _fmt(r), _fmt(z)
     out.write(",".join(header) + "\n")
     for t in times:
         keep = z >= -proto.v * t - 1e-12
@@ -101,7 +101,7 @@ def _write_field(ps, values_at, args, header, out):
             continue
         vals = values_at(r[:, None], z[keep][None, :], t)
         _write_rows(out, r_txt[:, None], z_txt[keep][None, :], _fmt(t),
-                    regions[:, None], _fmt_col(vals))
+                    regions[:, None], _fmt(vals))
 
 
 def _cmd_fluence(ps, args, out):
@@ -138,8 +138,8 @@ def _cmd_damage(ps, args, out):
                     np.linspace(-geo.L, geo.L, nz),
                     threshold=args.threshold)
     writer.writerow(("r_mm", "z_mm", "omega", "t_crit_s"))
-    _write_rows(out, _fmt_col(dm.r)[:, None], _fmt_col(dm.z)[None, :],
-                _fmt_col(dm.omega), _fmt_col(dm.t_cross))
+    _write_rows(out, _fmt(dm.r)[:, None], _fmt(dm.z)[None, :],
+                _fmt(dm.omega), _fmt(dm.t_cross))
     return EXIT_OK
 
 

@@ -48,12 +48,12 @@ class DomainError(ValueError):
     """Evaluation point outside the domain of validity."""
 
 
-def distinct_radii(r):
-    """(ru, inv): the sorted distinct radii of r and the index array of
-    r's shape that gathers them back, ru[inv] == r.  Radial profiles are
-    evaluated once per entry of ru."""
-    ru, inv = np.unique(r, return_inverse=True)
-    return ru, inv.reshape(np.shape(r))
+def distinct_values(x):
+    """(xu, inv): the sorted distinct values of the coordinate array x and
+    the index array of x's shape that gathers them back, xu[inv] == x.  A
+    factor of one coordinate is evaluated once per entry of xu."""
+    xu, inv = np.unique(x, return_inverse=True)
+    return xu, inv.reshape(np.shape(x))
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ class FluenceSolution:
             np.asarray(t, dtype=float))
         self._check_domain(r, z, t)
         blood = derive_optics(self.ps.blood_optics)
-        ru, inv = distinct_radii(r)
+        ru, inv = distinct_values(r)
         p_eff, p_t = self.profiles(ru)
         zeta = z + self.ps.protocol.v * t      # co-moving coordinate
         out = (p_eff[inv] * np.exp(-blood.mu_eff * zeta)

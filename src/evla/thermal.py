@@ -23,6 +23,12 @@ The temperature is assembled from three ingredients:
    and conductive flux at the internal interfaces, and decay with their
    own eigenrates.
 
+Every term is a radial profile times an axial and a time factor
+(Mikhailov & Ozisik's composite-medium construction, see layered.py).
+TemperatureSolution holds them as one term table and evaluates each factor
+once per distinct value of its own coordinate; the forced time factors are
+taken from the region holding each radius.
+
 The lumen terms satisfy the blood heat equation exactly.  For the outer
 regions three variants are provided (`mode`): "derived" (default) keeps
 the construction an exact solution of the bioheat equation; "printed" and
@@ -40,7 +46,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fluence import FluenceSolution, assemble_and_solve, distinct_radii
+from .fluence import FluenceSolution, assemble_and_solve, distinct_values
 from .layered import IK, JY, LayerSpec, RadialPiecewise, assemble, stack
 from .params import ParameterSet, Region, derive_optics, region_index
 
@@ -131,20 +137,8 @@ _MODES = ("derived", "printed", "printed_sqrt")
 # steady Robin offset
 # ---------------------------------------------------------------------------
 
-class _SingleProfile:
-    """eval / eval_deriv of a one-row radial `profile`; scalars in give
-    floats out."""
-
-    def eval(self, r, deriv=False):
-        out = (self.profile.derivs if deriv else self.profile.values)(r)[0]
-        return float(out) if out.ndim == 0 else out
-
-    def eval_deriv(self, r):
-        return self.eval(r, deriv=True)
-
-
 @dataclass(frozen=True)
-class OffsetProfile(_SingleProfile):
+class OffsetProfile:
     """Steady rise Theta(r) over [r_i, r_s]; zero in the lumen.
 
     Solves k (Theta'' + Theta'/r) = c_b omega Theta with Theta(r_i) = 0,
@@ -188,21 +182,11 @@ def steady_robin_offset(ps: ParameterSet) -> OffsetProfile:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RadialMode(_SingleProfile):
+class RadialMode:
     """One eigenfunction of the tissue-annulus relaxation problem."""
 
     zeta: float                  # decay rate [1/s], negative
     profile: RadialPiecewise     # one row over wall, pad, skin
-
-
-def mode_profiles(modes, r, deriv=False):
-    """R_k(r) (or R_k'(r)) of every mode, shape (len(modes), *r.shape).
-
-    Zero outside [r_i, r_s].  All modes are evaluated together: one
-    specfn call per basis function, region and branch.
-    """
-    prof = stack([m.profile for m in modes])
-    return prof.derivs(r) if deriv else prof.values(r)
 
 
 def _mode_spec(ps, u):
@@ -363,8 +347,9 @@ def project_initial(ps: ParameterSet, modes, offset: OffsetProfile,
         ws.append(w)
     r = np.concatenate(rs)
     w = np.concatenate(ws)
-    basis = mode_profiles(modes, r)                   # (M, N)
-    target = -offset.eval(r)
+    table = stack([offset.profile] + [m.profile for m in modes]).values(r)
+    target = -table[0]
+    basis = table[1:]                                 # (M, N)
     gram = (basis * w) @ basis.T
     rhs = (basis * w) @ target
     cond = np.linalg.cond(gram)
@@ -386,11 +371,23 @@ def project_initial(ps: ParameterSet, modes, offset: OffsetProfile,
 class TemperatureSolution:
     """T(r, z, t) over the cylinder for t in [0, t_end], z >= -v t.
 
-    Every term is a radial profile times an axial and a time factor.
-    `radial` holds all the radial profiles, built once per solution: row 0
-    the fluence mu_eff profile, row 1 the mu_t profile, row 2 the Robin
-    offset and rows 3, 4, ... the modes (offset and modes zero in the
-    lumen).
+    The field is one table of separable terms, built once per solution:
+    T = T_b + sum_k amp_k(region of r) R_k(r) e^{-alpha_k z} G_k(t).
+
+    * `radial` holds every R_k: row 0 the fluence mu_eff profile, row 1
+      the mu_t profile (the two forced families), row 2 the Robin offset
+      and rows 3, 4, ... the modes (offset and modes zero in the lumen);
+    * `amp` (rows, regions): mu_a / (rho c_p) for the forced rows (1 in
+      the printed forms), 1 for the offset and c_k for mode k;
+    * `axial`: alpha_k, mu_eff and mu_t for the forced rows, 0 for the
+      offset and the modes;
+    * `brackets` (family, region, 3): a, b and d of the forced time factor
+      G = (e^{a t} - e^{b t}) / d, with `mode` resolved here; d is nan
+      where G is the exact Duhamel bracket, d = a - b (growth_bracket);
+    * `decay`: G = e^{rate t} of the offset (rate 0) and the modes (zeta_k).
+
+    Each radius takes the forced time factors of the region holding it, so
+    a bracket that overflows in the lumen leaves the tissue's values alone.
     """
 
     ps: ParameterSet
@@ -403,91 +400,89 @@ class TemperatureSolution:
     projection_residual_max: float
     projection_residual_l2: float
     radial: RadialPiecewise = field(init=False, repr=False)
+    amp: np.ndarray = field(init=False, repr=False)
+    axial: np.ndarray = field(init=False, repr=False)
+    brackets: np.ndarray = field(init=False, repr=False)
+    decay: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        tissue = [self.offset.profile] + [m.profile for m in self.modal]
-        object.__setattr__(self, "radial", stack(
-            [self.sol.radial, stack(tissue).flat_inside(0.0)]))
-
-    def _forced_brackets(self, reg, t):
-        """Radial amplitude factor and time brackets of both forced
-        families in one region: (amp, br_eff(t), br_t(t)), the term being
-        amp * profile * br * (axial exponential)."""
         ps = self.ps
-        proto = ps.protocol
-        blood = derive_optics(ps.blood_optics)
         rates = self.rates
-        v = proto.v
-        if reg in (Region.FIBER_COLUMN, Region.BLOOD_ANNULUS):
-            th = ps.blood_thermal
-            br_eff = growth_bracket(rates.zeta_col_eff, -blood.mu_eff * v, t)
-            if reg is Region.FIBER_COLUMN:
-                br_t = growth_bracket(rates.zeta_col_t, -blood.mu_t * v, t)
-            else:
-                br_t = growth_bracket(rates.zeta_ann_t, -blood.mu_t * v, t)
-            return ps.blood_optics.mu_a / th.rho_cp, br_eff, br_t
-        th = ps.thermal_of(reg)
-        zeta = rates.zeta_outer[reg]
-        if self.mode == "derived":
-            return (ps.optics_of(reg).mu_a / th.rho_cp,
-                    growth_bracket(zeta, -blood.mu_eff * v, t),
-                    growth_bracket(zeta, -blood.mu_t * v, t))
-        rate = zeta
-        if self.mode == "printed_sqrt":
-            if zeta < 0.0:
+        blood = derive_optics(ps.blood_optics)
+        mu = np.array([blood.mu_eff, blood.mu_t])
+        n_relax = 1 + len(self.modal)
+        amp = np.ones((2 + n_relax, len(Region)))
+        amp[3:] = np.asarray(self.amplitudes)[:, None]
+        brackets = np.full((2, len(Region), 3), np.nan)
+        brackets[:, :, 1] = -mu[:, None] * ps.protocol.v
+        lumen_t = {Region.FIBER_COLUMN: rates.zeta_col_t,
+                   Region.BLOOD_ANNULUS: rates.zeta_ann_t}
+        for k, reg in enumerate(Region):
+            if reg in lumen_t:
+                amp[:2, k] = ps.blood_optics.mu_a / ps.blood_thermal.rho_cp
+                brackets[:, k, 0] = rates.zeta_col_eff, lumen_t[reg]
+                continue
+            th = ps.thermal_of(reg)
+            zeta = rates.zeta_outer[reg]
+            if self.mode == "derived":
+                amp[:2, k] = ps.optics_of(reg).mu_a / th.rho_cp
+                brackets[:, k, 0] = zeta
+                continue
+            if self.mode == "printed_sqrt" and zeta < 0.0:
                 raise ThermalError(
                     "printed_sqrt mode undefined for negative growth rate "
                     "%g in %s" % (zeta, reg.value))
-            rate = math.sqrt(zeta)
-        denom = th.rho_cp * zeta
-        with np.errstate(over="ignore"):
-            br_eff = (np.exp(rate * t)
-                      - np.exp(-blood.mu_eff * v * t)) / denom
-            br_t = (np.exp(rate * t)
-                    - np.exp(-blood.mu_t * v * t)) / denom
-        return 1.0, br_eff, br_t
+            brackets[:, k, 0] = (math.sqrt(zeta)
+                                 if self.mode == "printed_sqrt" else zeta)
+            brackets[:, k, 2] = th.rho_cp * zeta
+        tissue = stack([self.offset.profile]
+                       + [m.profile for m in self.modal]).flat_inside(0.0)
+        for name, value in (
+                ("radial", stack([self.sol.radial, tissue])), ("amp", amp),
+                ("axial", np.concatenate([mu, np.zeros(n_relax)])),
+                ("brackets", brackets),
+                ("decay", np.array([0.0] + [m.zeta for m in self.modal]))):
+            object.__setattr__(self, name, value)
 
     def eval(self, r, z, t):
         """Temperature [degC]; arrays broadcast; domain z >= -v t.
 
-        The radial table is evaluated once, on the distinct radii; axial
-        exponentials and time factors per point.
+        Each factor is evaluated once per distinct value of its own
+        coordinate, before broadcasting: the radial table on the distinct
+        r, the axial exponentials on the distinct z and the time factors
+        on the distinct t.  The terms are then accumulated one by one.
+        Raises ThermalError where the closed form has diverged to a
+        non-finite value.
         """
-        r, z, t = np.broadcast_arrays(
-            np.asarray(r, dtype=float), np.asarray(z, dtype=float),
-            np.asarray(t, dtype=float))
-        self.sol._check_domain(r, z, t)
-        ps = self.ps
-        blood = derive_optics(ps.blood_optics)
-        ru, inv = distinct_radii(r)
-        reg_u = region_index(ru, ps.geometry)
-        reg = reg_u[inv]
-        table = self.radial.values(ru)
-        prof = table[:2]
-        br_eff = np.empty_like(r)
-        br_t = np.empty_like(r)
-        for k, region in enumerate(Region):
-            pts = reg == k
-            if np.any(pts):
-                amp, br_eff[pts], br_t[pts] = self._forced_brackets(
-                    region, t[pts])
-                prof[:, reg_u == k] *= amp
-        p_eff, p_t = prof
-        out = np.full_like(r, float(ps.protocol.T_b))
-        out += (p_eff[inv] * br_eff * np.exp(-blood.mu_eff * z)
-                + p_t[inv] * br_t * np.exp(-blood.mu_t * z))
-        # offset and modal transient over the tissue, r >= r_i (their
-        # profiles vanish in the lumen)
-        tissue = reg >= OUTER_FIRST
-        if np.any(tissue):
-            at = inv[tissue]
-            tt = t[tissue]
-            add = table[2][at]
-            modes = self.amplitudes[:, None] * table[3:]
-            for row, m in zip(modes, self.modal):
-                add = add + row[at] * np.exp(m.zeta * tt)
-            out[tissue] += add
-        if out.ndim == 0:
+        coords = [np.asarray(c, dtype=float) for c in (r, z, t)]
+        self.sol._check_domain(*np.broadcast_arrays(*coords))
+        (ru, ir), (zu, iz), (tu, it) = (distinct_values(c) for c in coords)
+        reg_u = region_index(ru, self.ps.geometry)
+        table = self.radial.values(ru) * self.amp[:, reg_u]
+        reg = reg_u[ir]
+        axial = np.exp(-self.axial[:2, None] * zu)
+        # forced time factors, (family, region, t): printed rows where d set
+        a, b, d = (self.brackets[..., i, None] for i in range(3))
+        forced = growth_bracket(a, b, tu)
+        printed = ~np.isnan(d[..., 0])
+        with np.errstate(over="ignore"):
+            forced[printed] = (np.exp(a[printed] * tu)
+                               - np.exp(b[printed] * tu)) / d[printed]
+        relax = np.exp(self.decay[:, None] * tu)
+        out = self.ps.protocol.T_b + sum(
+            table[f][ir] * forced[f][reg, it] * axial[f][iz] for f in (0, 1))
+        # offset and modes: no axial factor (alpha = 0), every term of the
+        # shape of r and t broadcast
+        acc = table[2][ir] * relax[0][it]
+        for row, g in zip(table[3:], relax[1:]):
+            acc += row[ir] * g[it]
+        out += acc
+        bad = np.count_nonzero(~np.isfinite(out))
+        if bad:
+            raise ThermalError(
+                "non-finite temperature at %d of %d points: the closed form "
+                "has diverged there" % (bad, np.size(out)))
+        if np.ndim(out) == 0:
             return float(out)
         return out
 

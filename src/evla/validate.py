@@ -224,7 +224,7 @@ def criterion_a6(ctx):
                        + ps.thermal_of(reg).rho_cp * m.zeta)
                  for reg in Region}
         probe = fdoracle.residual_probe(
-            ps, lambda rr, zz, m=m: m.eval(rr), diff_of, react,
+            ps, lambda rr, zz, m=m: m.profile.values(rr)[0], diff_of, react,
             rmin=geo.r_i, nr=120, nz=24)
         for reg, order in probe.orders.items():
             orders["mode%d/%s" % (idx, reg.value)] = order

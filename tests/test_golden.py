@@ -58,7 +58,8 @@ def compute(name):
         "fluence": sol.eval(rr, zz, tt),
         "temperature": temp.eval(rr, zz, tt),
         "zeta": np.array([m.zeta for m in temp.modal]),
-        "offset": temp.offset.eval(np.linspace(0.0, geo.r_s, 50)),
+        "offset": temp.offset.profile.values(
+            np.linspace(0.0, geo.r_s, 50))[0],
         "omega": dm.omega,
         "t_cross": dm.t_cross,
         "crit_times": np.array([[row[mat] for mat in params.MATERIALS]

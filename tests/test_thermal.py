@@ -18,6 +18,7 @@ import pytest
 
 from evla import params, thermal
 from evla.fluence import DomainError
+from evla.layered import stack
 from evla.params import Region
 from evla.thermal import (BracketExhausted, build_temperature,
                           forcing_rates, growth_bracket, modal_eigenvalues,
@@ -108,10 +109,11 @@ def test_forcing_rates_blood_flow_raises_rates():
 def test_offset_boundary_rows(ps810, offset810):
     geo = ps810.geometry
     proto = ps810.protocol
-    assert abs(offset810.eval(geo.r_i)) < 1e-10
+    assert abs(offset810.profile.values(geo.r_i)[0]) < 1e-10
     robin = (ps810.thermal_of(Region.SKIN).k
-             * offset810.eval_deriv(geo.r_s)
-             + proto.h_air * (offset810.eval(geo.r_s) - offset810.gamma))
+             * offset810.profile.derivs(geo.r_s)[0]
+             + proto.h_air * (offset810.profile.values(geo.r_s)[0]
+                              - offset810.gamma))
     assert abs(robin) < 1e-15
 
 
@@ -119,9 +121,12 @@ def test_offset_interface_continuity(ps810, offset810):
     geo = ps810.geometry
     for rb, inner, outer in ((geo.r_w, Region.WALL, Region.PAD),
                              (geo.r_p, Region.PAD, Region.SKIN)):
-        dv = offset810.eval(rb - 1e-12) - offset810.eval(rb + 1e-12)
-        fi = ps810.thermal_of(inner).k * offset810.eval_deriv(rb - 1e-12)
-        fo = ps810.thermal_of(outer).k * offset810.eval_deriv(rb + 1e-12)
+        dv = (offset810.profile.values(rb - 1e-12)[0]
+              - offset810.profile.values(rb + 1e-12)[0])
+        fi = (ps810.thermal_of(inner).k
+              * offset810.profile.derivs(rb - 1e-12)[0])
+        fo = (ps810.thermal_of(outer).k
+              * offset810.profile.derivs(rb + 1e-12)[0])
         assert abs(dv) < 1e-8
         assert abs(fi - fo) < 1e-10
 
@@ -131,13 +136,14 @@ def test_offset_shape(ps810, offset810):
     # ambient below blood temperature depresses the outer layers,
     # monotonically toward the skin
     r = np.linspace(geo.r_i, geo.r_s, 300)
-    vals = offset810.eval(r)
+    vals = offset810.profile.values(r)[0]
     assert vals[0] == pytest.approx(0.0, abs=1e-10)
     assert np.all(np.diff(vals) < 1e-12)
     assert offset810.gamma < vals.min() < 0.0
-    assert offset810.eval(geo.r_s) == pytest.approx(-6.2024, abs=2e-3)
+    assert offset810.profile.values(geo.r_s)[0] == pytest.approx(
+        -6.2024, abs=2e-3)
     # lumen untouched
-    assert offset810.eval(1.0) == 0.0
+    assert offset810.profile.values(1.0)[0] == 0.0
 
 
 # --- relaxation modes ---------------------------------------------------------
@@ -164,7 +170,8 @@ def test_mode_set_is_complete(all_presets):
     for name, ps in all_presets.items():
         geo = ps.geometry
         r = np.linspace(geo.r_i, geo.r_s, 2001)[1:]
-        vals = thermal.mode_profiles(modal_eigenvalues(ps, n_modes=20), r)
+        vals = stack([m.profile for m in
+                      modal_eigenvalues(ps, n_modes=20)]).values(r)
         for n, row in enumerate(vals):
             s = np.sign(row[row != 0.0])
             assert np.count_nonzero(s[1:] != s[:-1]) == n, (name, n)
@@ -180,16 +187,18 @@ def test_skipped_root_is_detected(ps810):
 def test_mode_interface_conditions(ps810, modes810):
     geo = ps810.geometry
     for m in (modes810[0], modes810[7], modes810[19]):
-        assert abs(m.eval(geo.r_i)) < 1e-12
+        assert abs(m.profile.values(geo.r_i)[0]) < 1e-12
         for rb, inner, outer in ((geo.r_w, Region.WALL, Region.PAD),
                                  (geo.r_p, Region.PAD, Region.SKIN)):
-            dv = m.eval(rb - 1e-12) - m.eval(rb + 1e-12)
-            fi = ps810.thermal_of(inner).k * m.eval_deriv(rb - 1e-12)
-            fo = ps810.thermal_of(outer).k * m.eval_deriv(rb + 1e-12)
+            dv = (m.profile.values(rb - 1e-12)[0]
+                  - m.profile.values(rb + 1e-12)[0])
+            fi = ps810.thermal_of(inner).k * m.profile.derivs(rb - 1e-12)[0]
+            fo = ps810.thermal_of(outer).k * m.profile.derivs(rb + 1e-12)[0]
             assert abs(dv) < 1e-9
             assert abs(fi - fo) < 1e-12
-        robin = (ps810.thermal_of(Region.SKIN).k * m.eval_deriv(geo.r_s)
-                 + ps810.protocol.h_air * m.eval(geo.r_s))
+        robin = (ps810.thermal_of(Region.SKIN).k
+                 * m.profile.derivs(geo.r_s)[0]
+                 + ps810.protocol.h_air * m.profile.values(geo.r_s)[0])
         assert abs(robin) < 1e-14
 
 
@@ -202,9 +211,10 @@ def test_mode_satisfies_radial_equation(ps810, modes810):
         for r, reg in ((4.1, Region.WALL), (9.0, Region.PAD),
                        (16.0, Region.SKIN)):
             th = ps810.thermal_of(reg)
-            val = m.eval(r)
-            d2 = (m.eval(r + h) - 2.0 * val + m.eval(r - h)) / h ** 2
-            d1 = m.eval_deriv(r)
+            val = m.profile.values(r)[0]
+            d2 = (m.profile.values(r + h)[0] - 2.0 * val
+                  + m.profile.values(r - h)[0]) / h ** 2
+            d1 = m.profile.derivs(r)[0]
             lhs = th.k * (d2 + d1 / r)
             rhs = (th.rho_cp * m.zeta + c_b * th.omega) * val
             assert lhs == pytest.approx(rhs, rel=1e-4, abs=1e-9)
@@ -214,9 +224,9 @@ def test_mode_normalization(ps810, modes810):
     geo = ps810.geometry
     r = np.linspace(geo.r_i, geo.r_s, 2000)
     for m in modes810[:3]:
-        vals = m.eval(r)
+        vals = m.profile.values(r)[0]
         assert np.max(np.abs(vals)) == pytest.approx(1.0, abs=1e-3)
-        assert m.eval_deriv(geo.r_i) > 0
+        assert m.profile.derivs(geo.r_i)[0] > 0
 
 
 def test_mode_orthogonality(ps810, modes810):
@@ -234,7 +244,8 @@ def test_mode_orthogonality(ps810, modes810):
             w[1:-1:2] = 4.0
             w[2:-1:2] = 2.0
             w *= (hi - lo) / n / 3.0 * ps810.thermal_of(reg).rho_cp * r
-            tot += float(np.sum(w * a.eval(r) * b.eval(r)))
+            tot += float(np.sum(w * a.profile.values(r)[0]
+                                * b.profile.values(r)[0]))
         return tot
 
     norms = {i: inner(modes810[i], modes810[i])
@@ -282,12 +293,12 @@ def test_robin_relaxation_without_heating(ps810, temp810):
     r = 17.0
 
     def relax(t):
-        acc = temp810.offset.eval(r)
+        acc = temp810.offset.profile.values(r)[0]
         for c, m in zip(temp810.amplitudes, temp810.modal):
-            acc += c * m.eval(r) * math.exp(m.zeta * t)
+            acc += c * m.profile.values(r)[0] * math.exp(m.zeta * t)
         return acc
 
-    theta = temp810.offset.eval(r)
+    theta = temp810.offset.profile.values(r)[0]
     vals = [relax(t) for t in (0.0, 50.0, 200.0, 6000.0)]
     assert abs(vals[0]) < 0.15
     assert vals[0] > vals[1] > vals[2] > vals[3]
@@ -311,19 +322,43 @@ def test_eval_rejects_non_finite(temp810, point):
         temp810.eval(*point)
 
 
-@pytest.mark.parametrize("mode", ["derived", "printed"])
-def test_eval_on_repeated_radii_matches_pointwise(ps810, temp810, mode):
+@pytest.mark.parametrize("mode, shapes", [
+    ("derived", "grid"), ("printed", "grid"), ("printed_sqrt", "grid"),
+    ("derived", "damage_map")],
+    ids=["derived", "printed", "printed_sqrt", "damage_map"])
+def test_eval_on_repeated_radii_matches_pointwise(ps810, temp810, mode,
+                                                  shapes):
     geo = ps810.geometry
     temp = replace(temp810, mode=mode)
     # every zone, its edges and repeats, in no particular order
     r = np.array([geo.r_p, 0.1, geo.r_f, 2.0, geo.r_i, 0.1, 4.0, geo.r_w,
                   8.0, geo.r_s, 15.0, geo.r_i, 2.0])
-    z = np.array([0.0, 1.5, 6.0])
-    t = np.array([0.0, 2.5, 10.0])
-    rr, zz, tt = np.meshgrid(r, z, t, indexing="ij")
-    grid = temp.eval(rr, zz, tt)
-    pointwise = np.vectorize(temp.eval)(rr, zz, tt)
+    if shapes == "grid":
+        z = np.array([0.0, 1.5, 6.0])
+        t = np.array([0.0, 2.5, 10.0])
+        r, z, t = np.meshgrid(r, z, t, indexing="ij")
+    else:
+        # damage_map's histories: r (nr, 1, 1), z (1, nc, 1) and, per z
+        # column, the times from the tip's arrival to t_end, (nc, nt)
+        z = np.array([-6.0, -2.5, 0.0, 1.5, -2.5])
+        t0 = np.maximum(0.0, -z / ps810.protocol.v)
+        t = np.linspace(t0, ps810.protocol.t_end, 5, axis=-1)
+        r, z = r[:, None, None], z[None, :, None]
+    grid = temp.eval(r, z, t)
+    pointwise = np.vectorize(temp.eval)(r, z, t)
+    assert grid.shape == pointwise.shape == np.broadcast(r, z, t).shape
     np.testing.assert_allclose(grid, pointwise, rtol=1e-12, atol=0.0)
+
+
+def test_eval_raises_on_non_finite_output():
+    # flowing blood: the lumen forced brackets overflow to inf by t = 10,
+    # while the tissue's own brackets stay finite
+    temp = build_temperature(params.default_params(810, 15.0, u=70.0))
+    with pytest.raises(thermal.ThermalError, match="non-finite"):
+        temp.eval(0.5, 0.0, 10.0)
+    with pytest.raises(thermal.ThermalError, match="1 of 2 points"):
+        temp.eval([0.5, 16.0], 0.0, 10.0)
+    assert math.isfinite(temp.eval(16.0, 0.0, 10.0))
 
 
 def test_printed_variants_differ(ps810, sol810, modes810, offset810):
