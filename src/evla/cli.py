@@ -59,6 +59,8 @@ def _parse_times(text):
         raise ConfigError("bad --times value %r" % text)
     if not times:
         raise ConfigError("--times is empty")
+    if not all(np.isfinite(times)):
+        raise ConfigError("--times must be finite, got %r" % text)
     return times
 
 
@@ -115,6 +117,8 @@ def _cmd_temperature(ps, args, out):
     if ps.protocol.u > 0.0:
         print("note: flowing-blood case (u = %g mm/s); the lumen forced "
               "rates grow with u" % ps.protocol.u, file=sys.stderr)
+    if args.modes < 1:
+        raise ConfigError("--modes must be >= 1, got %d" % args.modes)
     sol = assemble_and_solve(ps)
     temp = build_temperature(ps, sol, mode=args.form, n_modes=args.modes)
     _write_field(ps, temp.eval, args,
@@ -130,6 +134,9 @@ def _cmd_damage(ps, args, out):
             for mat, t_crit in per_mat.items():
                 writer.writerow((_fmt(temp), mat, _fmt(t_crit)))
         return EXIT_OK
+    if not (0.0 < args.threshold < np.inf):
+        raise ConfigError("--threshold must be finite and > 0, got %r"
+                          % args.threshold)
     sol = assemble_and_solve(ps)
     temp = build_temperature(ps, sol)
     nr, nz = _parse_grid(args.grid)

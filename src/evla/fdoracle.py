@@ -409,9 +409,7 @@ def fluence_residual_probe(ps: ParameterSet, sol, nr=120, nz=120,
     the closed-form field (exact solutions show the scheme's own O(h^2))."""
     if frame_t is None:
         frame_t = ps.protocol.t_end
-    geo = ps.geometry
     blood = derive_optics(ps.blood_optics)
-    src = sol.src
 
     def field(rr, zz):
         # rr rows are constant radii by construction of the probe grids;
@@ -422,9 +420,7 @@ def fluence_residual_probe(ps: ParameterSet, sol, nr=120, nz=120,
                 + prof_t[:, None] * np.exp(-blood.mu_t * zeta))
 
     def source(rr, zz):
-        zeta = zz + ps.protocol.v * frame_t
-        return np.where(rr < geo.r_f, src.S0 * np.exp(-blood.mu_t * zeta),
-                        0.0)
+        return sol.src.eval(rr, zz, frame_t)
 
     diff_of = {reg: ps.derived_of(reg).D for reg in Region}
     react_of = {reg: ps.optics_of(reg).mu_a for reg in Region}

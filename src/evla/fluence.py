@@ -279,7 +279,7 @@ def interface_jumps(sol: FluenceSolution):
 def _residual_check(sol, tol=1e-9):
     worst = max(v for pair in interface_jumps(sol).values() for v in pair
                 if v is not None)
-    if worst > tol:
+    if not worst <= tol:   # a NaN residual fails too
         raise SolverError(
             "post-solve interface residual %.3e exceeds %.0e" % (worst, tol))
 

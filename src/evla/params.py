@@ -9,6 +9,7 @@ units in the *_TABLE dicts and converted exactly once.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import enum
 import math
 import os
@@ -63,7 +64,7 @@ MATERIALS = ("blood", "wall", "pad", "skin")
 # ---------------------------------------------------------------------------
 
 # k [W/(m degC)], rho [kg/m^3], c_p [J/(kg degC)], omega [kg/(m^3 s)],
-# A [1/s], E_a [J/mol]
+# A [1/s], E_a [J/mol]; config [thermal.*] sections use the same units
 THERMAL_TABLE = {
     "blood": dict(k=0.52, rho=1060.0, c_p=3600.0, omega=0.0,
                   A=7.6e66, E_a=4.48e5),
@@ -97,6 +98,14 @@ class ConfigError(ValueError):
     """Bad configuration: parse failure or violated invariant."""
 
 
+def _require_finite(obj, where=""):
+    # every sign and ordering test passes or fails silently on inf/NaN
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError("%s must be finite %s" % (f.name, where))
+
+
 @dataclass(frozen=True)
 class RegionOptics:
     """Optical coefficients of one material at one wavelength."""
@@ -107,6 +116,7 @@ class RegionOptics:
     n: float = N_DEFAULT   # refractive index
 
     def validate(self, where=""):
+        _require_finite(self, where)
         if not (self.mu_a > 0):
             raise ConfigError("mu_a must be > 0 %s" % where)
         if not (self.mu_s_reduced > 0):
@@ -150,6 +160,7 @@ class RegionThermal:
     E_a: float      # activation energy [J/mol]
 
     def validate(self, where=""):
+        _require_finite(self, where)
         for name in ("k", "rho", "c_p", "A", "E_a"):
             if not (getattr(self, name) > 0):
                 raise ConfigError("%s must be > 0 %s" % (name, where))
@@ -162,18 +173,17 @@ class RegionThermal:
         return self.rho * self.c_p
 
 
+# published units -> mm-normalized units; the other thermal keys are
+# volume-free and pass through unchanged
+_THERMAL_SCALE = {"k": 1e-3, "rho": 1e-9, "omega": 1e-9}
+
+
 def _thermal_from_table(material: str) -> RegionThermal:
-    t = THERMAL_TABLE[material]
-    return RegionThermal(k=t["k"] * 1e-3, rho=t["rho"] * 1e-9,
-                         c_p=t["c_p"], omega=t["omega"] * 1e-9,
-                         A=t["A"], E_a=t["E_a"])
+    return RegionThermal(**{key: value * _THERMAL_SCALE.get(key, 1.0)
+                            for key, value in THERMAL_TABLE[material].items()})
 
 
 def _optics_from_table(material: str, wavelength: int) -> RegionOptics:
-    if wavelength not in OPTICAL_TABLE:
-        raise ConfigError(
-            "unknown wavelength %r: registry covers %s and no explicit "
-            "coefficients were given" % (wavelength, WAVELENGTHS))
     mu_a, mu_sp = OPTICAL_TABLE[wavelength][material]
     return RegionOptics(mu_a=mu_a, mu_s_reduced=mu_sp,
                         g=G_DEFAULT[material], n=N_DEFAULT)
@@ -205,6 +215,7 @@ class Geometry:
     def validate(self):
         if self.eps is None or self.r_p is None or self.r_s is None:
             raise ConfigError("geometry not resolved")
+        _require_finite(self)
         ok = 0.0 < self.r_f < self.r_i < self.r_i + self.eps < self.r_p \
             < self.r_s
         if not ok:
@@ -235,27 +246,23 @@ class Protocol:
     h_air: float = 1e-5      # skin heat-transfer coefficient [W/(mm^2 degC)]
 
     def validate(self):
+        _require_finite(self)
         if not (self.P_laser > 0):
             raise ConfigError("P_laser must be > 0")
         if self.wavelength not in WAVELENGTHS:
             raise ConfigError(
                 "wavelength %r nm not in the coefficient registry %s"
                 % (self.wavelength, WAVELENGTHS))
-        if not (0.0 < self.v < math.inf):
-            raise ConfigError("v must be finite and > 0")
+        if not (self.v > 0):
+            raise ConfigError("v must be > 0")
         if not (self.t_end > 0):
             raise ConfigError("t_end must be > 0")
-        if not (0.0 <= self.u < math.inf):
-            raise ConfigError("u must be finite and >= 0")
+        if not (self.u >= 0):
+            raise ConfigError("u must be >= 0")
         if not (self.T_air < self.T_b):
             raise ConfigError("T_air must be below T_b")
         if not (self.h_air > 0):
             raise ConfigError("h_air must be > 0")
-
-    @property
-    def case(self):
-        # case 1: obstructed flow; case 2: flowing blood
-        return 1 if self.u == 0.0 else 2
 
 
 @dataclass(frozen=True)
@@ -325,31 +332,55 @@ def preset_params(name, **protocol_overrides):
 # config files
 # ---------------------------------------------------------------------------
 
-_FLOAT_KEYS_GEO = ("r_f", "r_i", "eps", "r_p", "r_s", "L")
-_FLOAT_KEYS_PROTO = ("P_laser", "v", "t_end", "u", "T_b", "T_air", "h_air")
-_FLOAT_KEYS_OPT = ("mu_a", "mu_s_reduced", "g", "n")
-_FLOAT_KEYS_THERM = ("k", "rho", "c_p", "omega", "A", "E_a")
+_SECTIONS = {"geometry", "protocol"} | {
+    "%s.%s" % (kind, mat) for kind in ("optical", "thermal")
+    for mat in MATERIALS}
 
 
-def _get_float(sec, key, default=None):
-    raw = sec.get(key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError("key %r: not a number: %r" % (key, raw)) from None
+def _section(cp, name, base, scale=None):
+    """base with the entries of section [name] put in: each key names a
+    field of base (in any case), each value is a finite number, an integer
+    where the base value is one, and is multiplied by scale[field] where
+    scale has the field.  Keys the section omits keep base's value."""
+    if not cp.has_section(name):
+        return base
+    names = {f.name.lower(): f.name for f in dataclasses.fields(base)}
+    updates = {}
+    for key, raw in cp[name].items():
+        if key not in names:
+            raise ConfigError("unknown key %r in [%s]" % (key, name))
+        key = names[key]
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigError("%s = %r in [%s]: not a finite number"
+                              % (key, raw, name))
+        if isinstance(getattr(base, key), int):
+            if not value.is_integer():
+                raise ConfigError("%s = %r in [%s]: not an integer"
+                                  % (key, raw, name))
+            value = int(value)
+        if scale and key in scale:
+            value *= scale[key]
+        updates[key] = value
+    return replace(base, **updates)
 
 
 def load_config(path) -> ParameterSet:
     """Read a `[section] / key = value` file; see the README for a sample.
 
-    Sections: geometry, protocol, optical.<region>, thermal.<region> with
-    region in {blood, wall, pad, skin}.  Missing entries fall back to the
-    built-in tables for the configured wavelength.  `#` and `;` start
-    comments.
+    Sections: geometry, protocol, optical.<material>, thermal.<material>
+    with material in {blood, wall, pad, skin}; the keys of a section are
+    the field names of its dataclass, in any case, and [thermal.*] values
+    are in the published units of THERMAL_TABLE.  Missing entries fall
+    back to the built-in tables for the configured wavelength.  `#` and
+    `;` start comments.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no %-interpolation: a stray % would fail only when the value is read
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
     try:
         with open(path) as fh:
             cp.read_file(fh, source=str(path))
@@ -358,92 +389,25 @@ def load_config(path) -> ParameterSet:
     except configparser.Error as exc:
         # configparser reports the offending line in the message
         raise ConfigError("parse error in %s: %s" % (path, exc)) from exc
+    for name in cp.sections():
+        if name not in _SECTIONS:
+            raise ConfigError("unknown section [%s]" % name)
 
-    for section in cp.sections():
-        if section in ("geometry", "protocol"):
-            continue
-        if section.startswith(("optical.", "thermal.")):
-            mat = section.split(".", 1)[1]
-            if mat in MATERIALS:
-                continue
-        raise ConfigError("unknown section [%s]" % section)
-
-    proto_sec = cp["protocol"] if cp.has_section("protocol") else {}
-    allowed = tuple(k.lower() for k in _FLOAT_KEYS_PROTO) + ("wavelength",)
-    for key in proto_sec:
-        if key not in allowed:
-            raise ConfigError("unknown protocol key %r" % key)
-    wl_raw = proto_sec.get("wavelength")
-    wavelength = int(float(wl_raw)) if wl_raw is not None else 810
-    defaults = Protocol()
-    proto = Protocol(
-        P_laser=_get_float(proto_sec, "P_laser", defaults.P_laser),
-        wavelength=wavelength,
-        v=_get_float(proto_sec, "v", defaults.v),
-        t_end=_get_float(proto_sec, "t_end", defaults.t_end),
-        u=_get_float(proto_sec, "u", defaults.u),
-        T_b=_get_float(proto_sec, "T_b", defaults.T_b),
-        T_air=_get_float(proto_sec, "T_air", defaults.T_air),
-        h_air=_get_float(proto_sec, "h_air", defaults.h_air),
-    )
+    proto = _section(cp, "protocol", Protocol())
     proto.validate()
-
-    geo_sec = cp["geometry"] if cp.has_section("geometry") else {}
-    for key in geo_sec:
-        if key not in tuple(k.lower() for k in _FLOAT_KEYS_GEO):
-            raise ConfigError("unknown geometry key %r" % key)
-    gd = Geometry()
-    geo = Geometry(
-        r_f=_get_float(geo_sec, "r_f", gd.r_f),
-        r_i=_get_float(geo_sec, "r_i", gd.r_i),
-        eps=_get_float(geo_sec, "eps", None),
-        r_p=_get_float(geo_sec, "r_p", None),
-        r_s=_get_float(geo_sec, "r_s", None),
-        L=_get_float(geo_sec, "l", gd.L),
-    ).resolved()
-
+    geo = _section(cp, "geometry", Geometry()).resolved()
     optics = {}
     thermal = {}
     for region in Region:
         mat = MATERIAL_OF[region]
-        base_o = _optics_from_table(mat, wavelength)
-        sec_name = "optical.%s" % mat
-        if cp.has_section(sec_name):
-            sec = cp[sec_name]
-            for key in sec:
-                if key not in tuple(k.lower() for k in _FLOAT_KEYS_OPT):
-                    raise ConfigError("unknown key %r in [%s]"
-                                      % (key, sec_name))
-            base_o = RegionOptics(
-                mu_a=_get_float(sec, "mu_a", base_o.mu_a),
-                mu_s_reduced=_get_float(sec, "mu_s_reduced",
-                                        base_o.mu_s_reduced),
-                g=_get_float(sec, "g", base_o.g),
-                n=_get_float(sec, "n", base_o.n),
-            )
-        base_o.validate("in [%s]" % sec_name)
-        optics[region] = base_o
-
-        base_t = _thermal_from_table(mat)
-        sec_name = "thermal.%s" % mat
-        if cp.has_section(sec_name):
-            sec = cp[sec_name]
-            for key in sec:
-                if key not in tuple(k.lower() for k in _FLOAT_KEYS_THERM):
-                    raise ConfigError("unknown key %r in [%s]"
-                                      % (key, sec_name))
-            # config values use the published units; normalize here
-            base_t = RegionThermal(
-                k=_get_float(sec, "k", base_t.k * 1e3) * 1e-3,
-                rho=_get_float(sec, "rho", base_t.rho * 1e9) * 1e-9,
-                c_p=_get_float(sec, "c_p", base_t.c_p),
-                omega=_get_float(sec, "omega", base_t.omega * 1e9) * 1e-9,
-                A=_get_float(sec, "A", base_t.A),
-                E_a=_get_float(sec, "E_a", base_t.E_a),
-            )
-        base_t.validate("in [%s]" % sec_name)
-        thermal[region] = base_t
-
+        name = "optical." + mat
+        optics[region] = _section(
+            cp, name, _optics_from_table(mat, proto.wavelength))
+        optics[region].validate("in [%s]" % name)
+        name = "thermal." + mat
+        thermal[region] = _section(cp, name, _thermal_from_table(mat),
+                                   _THERMAL_SCALE)
+        thermal[region].validate("in [%s]" % name)
     return ParameterSet(geometry=geo, protocol=proto,
                         optics=optics, thermal=thermal)
 
@@ -459,27 +423,9 @@ def params_from_env_or_default(config_path=None, preset=None, **overrides):
     return default_params(**overrides)
 
 
-def region_of(r, geo: Geometry) -> Region:
-    """Zone containing radius r; boundary points go to the outer zone."""
-    if r < 0.0:
-        raise ValueError("negative radius %g" % r)
-    if r > geo.r_s:
-        raise ValueError("radius %g outside the domain (r_s = %g)"
-                         % (r, geo.r_s))
-    if r < geo.r_f:
-        return Region.FIBER_COLUMN
-    if r < geo.r_i:
-        return Region.BLOOD_ANNULUS
-    if r < geo.r_w:
-        return Region.WALL
-    if r < geo.r_p:
-        return Region.PAD
-    return Region.SKIN
-
-
 def region_index(r, geo: Geometry):
     """Index into tuple(Region) of the region holding each radius: the
-    zone edges go to the outer zone, as in region_of; no range check."""
+    zone edges go to the outer zone; no range check."""
     return np.searchsorted([geo.r_f, geo.r_i, geo.r_w, geo.r_p], r,
                            side="right")
 

@@ -492,6 +492,9 @@ def build_temperature(ps: ParameterSet, sol: FluenceSolution = None,
     """Assemble the full temperature construction for one parameter set."""
     if mode not in _MODES:
         raise ThermalError("unknown mode %r (one of %s)" % (mode, _MODES))
+    if n_modes < 1:
+        # the uniform start cannot be projected onto an empty mode set
+        raise ThermalError("n_modes must be >= 1, got %r" % n_modes)
     if sol is None:
         sol = assemble_and_solve(ps)
     rates = forcing_rates(ps)

@@ -140,11 +140,20 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert cli.main(["fluence", "--grid", "80"]) == 2
     assert cli.main(["fluence", "--grid", "1,9"]) == 2
     assert cli.main(["validate", "--only", "a99"]) == 2
+    # non-finite or out-of-range numeric flags
+    assert cli.main(["fluence", "--times", "nan"]) == 2
+    assert cli.main(["fluence", "--times", "0,inf"]) == 2
+    assert cli.main(["damage", "--map", "--threshold", "nan"]) == 2
+    assert cli.main(["damage", "--map", "--threshold", "0"]) == 2
+    assert cli.main(["temperature", "--modes", "0"]) == 2
+    assert cli.main(["temperature", "--modes", "-3"]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 5
+    assert err.count("error:") == 11
 
     bad = tmp_path / "bad.ini"
     bad.write_text("[protocol]\nnonsense = 3\n")
+    assert cli.main(["fluence", "--config", str(bad)]) == 2
+    bad.write_text("[protocol]\nwavelength = abc\n")
     assert cli.main(["fluence", "--config", str(bad)]) == 2
 
 

@@ -99,6 +99,14 @@ def test_interface_jumps_machine_level(sol810):
             assert abs(dflux) < 1e-12, name
 
 
+def test_residual_check_fails_on_nan(sol810, monkeypatch):
+    # nan > tol is False, so a NaN residual must fail by `not <=`
+    monkeypatch.setattr(fluence, "interface_jumps",
+                        lambda sol: {"r_i": (float("nan"), 0.0)})
+    with pytest.raises(fluence.SolverError):
+        fluence._residual_check(sol810)
+
+
 def test_value_continuity_on_z_line(ps810, sol810):
     geo = ps810.geometry
     z = np.linspace(-2.0, 9.0, 23)
@@ -177,7 +185,8 @@ def test_field_goes_negative_in_pad(ps810, sol810):
     r = np.linspace(4.6, 14.4, 200)
     vals = sol810.eval(r, 0.0, 0.0)
     assert vals.min() < -100.0
-    assert params.region_of(r[vals.argmin()], ps810.geometry) is Region.PAD
+    k = params.region_index(r[vals.argmin()], ps810.geometry)
+    assert tuple(Region)[k] is Region.PAD
 
 
 def test_lumen_to_annulus_flux_kink(ps810, sol810):

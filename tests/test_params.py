@@ -1,5 +1,7 @@
 """Parameter registry, unit conversion and config parsing tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -116,30 +118,20 @@ def test_geometry_rejects_bad_ordering():
         Geometry(r_f=4.0).resolved().validate()
 
 
-def test_region_of_boundaries():
+def test_region_index_boundaries():
     g = Geometry().resolved()
-    assert params.region_of(0.0, g) is Region.FIBER_COLUMN
-    assert params.region_of(0.3, g) is Region.BLOOD_ANNULUS   # boundary -> outer
-    assert params.region_of(3.75, g) is Region.WALL
-    assert params.region_of(4.5, g) is Region.PAD
-    assert params.region_of(14.5, g) is Region.SKIN
-    assert params.region_of(17.5, g) is Region.SKIN
-    # the vectorised lookup agrees at every zone edge and at r_s
+    # zone edges go to the outer zone, r_s to the skin
+    r = np.array([0.0, 0.3, 3.75, 4.5, 14.5, 17.5])
+    assert [tuple(Region)[k] for k in params.region_index(r, g)] == [
+        Region.FIBER_COLUMN, Region.BLOOD_ANNULUS, Region.WALL, Region.PAD,
+        Region.SKIN, Region.SKIN]
+    # the computed edges agree with the literal ones
     edges = np.array([0.0, g.r_f, g.r_i, g.r_w, g.r_p, g.r_s])
-    assert ([tuple(Region)[k] for k in params.region_index(edges, g)]
-            == [params.region_of(rv, g) for rv in edges])
-    with pytest.raises(ValueError):
-        params.region_of(-0.1, g)
-    with pytest.raises(ValueError):
-        params.region_of(17.6, g)
+    assert np.array_equal(params.region_index(edges, g),
+                          params.region_index(r, g))
 
 
 # --- protocol -------------------------------------------------------------
-
-def test_protocol_case_flag():
-    assert Protocol().case == 1
-    assert Protocol(u=70.0).case == 2
-
 
 def test_protocol_validation():
     with pytest.raises(ConfigError):
@@ -151,12 +143,31 @@ def test_protocol_validation():
 @pytest.mark.parametrize("bad", [dict(v=0.0), dict(v=-1.0),
                                  dict(v=float("nan")), dict(v=float("inf")),
                                  dict(u=-1.0), dict(u=float("nan")),
-                                 dict(u=float("inf"))])
+                                 dict(u=float("inf")),
+                                 dict(t_end=float("inf")),
+                                 dict(T_b=float("inf")),
+                                 dict(T_air=-float("inf")),
+                                 dict(P_laser=float("inf")),
+                                 dict(h_air=float("inf"))])
 def test_protocol_rejects_bad_speeds(bad):
-    # v = 0 would divide the dose bookkeeping by zero; non-finite speeds
+    # v = 0 would divide the dose bookkeeping by zero; non-finite values
     # pass every sign test and poison the fields silently
     with pytest.raises(ConfigError):
         Protocol(**bad).validate()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: params.default_params(810, float("inf")),
+    lambda: Geometry(L=float("inf")).resolved(),
+    lambda: params.derive_optics(
+        params.RegionOptics(mu_a=float("inf"), mu_s_reduced=0.73, g=0.5)),
+    lambda: replace(params.default_params().thermal_of(Region.WALL),
+                    omega=float("nan")).validate(),
+], ids=["power", "geometry", "optics", "thermal"])
+def test_validators_reject_non_finite(build):
+    # infinite power used to build a solution whose eval returned NaN
+    with pytest.raises(ConfigError):
+        build()
 
 
 def test_default_g_values():
@@ -201,8 +212,8 @@ def test_load_config_roundtrip(tmp_path):
     p.write_text(CONFIG_TEXT)
     ps = params.load_config(str(p))
     assert ps.protocol.wavelength == 980
+    assert type(ps.protocol.wavelength) is int
     assert ps.protocol.u == 70.0
-    assert ps.protocol.case == 2
     assert ps.geometry.r_f == 0.4
     assert ps.geometry.L == 12.0
     assert ps.geometry.eps == pytest.approx(0.8)
@@ -223,6 +234,34 @@ def test_load_config_unknown_section(tmp_path):
     p.write_text("[optics.blood]\nmu_a = 0.2\n")
     with pytest.raises(ConfigError):
         params.load_config(str(p))
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("protocol", "wavelength", "abc"),
+    ("protocol", "wavelength", "980.7"),
+    ("protocol", "t_end", "inf"),
+    ("thermal.wall", "k", "nan"),
+    ("thermal.wall", "omega", "nan"),
+    ("geometry", "L", "inf"),
+    ("protocol", "v", "1%"),
+])
+def test_load_config_rejects_bad_values(tmp_path, section, key, value):
+    # each used to escape as an uncaught error, be truncated or be accepted
+    p = tmp_path / "bad.ini"
+    p.write_text("[%s]\n%s = %s\n" % (section, key, value))
+    with pytest.raises(ConfigError, match=r"\[%s\]" % section):
+        params.load_config(str(p))
+
+
+def test_load_config_keeps_omitted_keys_exact(tmp_path):
+    # a section that sets one key leaves the others at their table value,
+    # with no round trip through the published units
+    p = tmp_path / "partial.ini"
+    p.write_text("[thermal.pad]\nA = 5.6e63\n[thermal.wall]\nE_a = 4.3e5\n")
+    ps = params.load_config(str(p))
+    ref = params.default_params(810, 15.0)
+    for region in (Region.WALL, Region.PAD):
+        assert ps.thermal_of(region) == ref.thermal_of(region)
 
 
 def test_env_config_pickup(tmp_path, monkeypatch):

@@ -388,3 +388,12 @@ def test_printed_variants_differ(ps810, sol810, modes810, offset810):
 def test_build_temperature_rejects_bad_mode(ps810, sol810):
     with pytest.raises(thermal.ThermalError):
         build_temperature(ps810, sol810, mode="exact")
+
+
+@pytest.mark.parametrize("n_modes", [0, -3])
+def test_build_temperature_rejects_empty_mode_set(ps810, sol810, n_modes):
+    # an empty mode set cannot carry the uniform start; the projection
+    # would otherwise fail inside numpy.linalg
+    assert thermal.modal_eigenvalues(ps810, n_modes=n_modes) == []
+    with pytest.raises(thermal.ThermalError, match="n_modes"):
+        build_temperature(ps810, sol810, n_modes=n_modes)
