@@ -84,13 +84,12 @@ def _write_rows(out, *columns):
         out.write("".join(",".join(row) + "\n" for row in cells))
 
 
-def _write_field(ps, values_at, args, header, out):
-    """Shared CSV writer of the fluence and temperature dumps: r and z are
-    formatted once, then each time slice is evaluated, formatted and
-    written before the next."""
+def _write_field(ps, values_at, grid, times, header, out):
+    """Shared CSV writer of the fluence and temperature dumps on the parsed
+    (nr, nz) grid and times: r and z are formatted once, then each time
+    slice is evaluated, formatted and written before the next."""
     geo, proto = ps.geometry, ps.protocol
-    nr, nz = _parse_grid(args.grid)
-    times = _parse_times(args.times)
+    nr, nz = grid
     r = np.linspace(0.0, geo.r_s, nr)
     z = np.linspace(-geo.L, geo.L, nz)
     regions = np.array([tuple(Region)[k].value
@@ -107,8 +106,9 @@ def _write_field(ps, values_at, args, header, out):
 
 
 def _cmd_fluence(ps, args, out):
+    grid, times = _parse_grid(args.grid), _parse_times(args.times)
     sol = assemble_and_solve(ps)
-    _write_field(ps, sol.eval, args,
+    _write_field(ps, sol.eval, grid, times,
                  ("r_mm", "z_mm", "t_s", "region", "phi_W_per_mm2"), out)
     return EXIT_OK
 
@@ -119,9 +119,10 @@ def _cmd_temperature(ps, args, out):
               "rates grow with u" % ps.protocol.u, file=sys.stderr)
     if args.modes < 1:
         raise ConfigError("--modes must be >= 1, got %d" % args.modes)
+    grid, times = _parse_grid(args.grid), _parse_times(args.times)
     sol = assemble_and_solve(ps)
     temp = build_temperature(ps, sol, mode=args.form, n_modes=args.modes)
-    _write_field(ps, temp.eval, args,
+    _write_field(ps, temp.eval, grid, times,
                  ("r_mm", "z_mm", "t_s", "region", "T_C"), out)
     return EXIT_OK
 
@@ -137,9 +138,9 @@ def _cmd_damage(ps, args, out):
     if not (0.0 < args.threshold < np.inf):
         raise ConfigError("--threshold must be finite and > 0, got %r"
                           % args.threshold)
+    nr, nz = _parse_grid(args.grid)
     sol = assemble_and_solve(ps)
     temp = build_temperature(ps, sol)
-    nr, nz = _parse_grid(args.grid)
     geo = ps.geometry
     dm = damage_map(temp, np.linspace(0.0, geo.r_s, nr),
                     np.linspace(-geo.L, geo.L, nz),
@@ -151,8 +152,8 @@ def _cmd_damage(ps, args, out):
 
 
 def _cmd_validate(ps, args, out):
-    # imported here: validate pulls in the FD oracle and scipy.sparse,
-    # which no other subcommand needs
+    # imported here: validate pulls in the FD oracle, which no other
+    # subcommand needs
     from . import validate
     names = None
     if args.only:

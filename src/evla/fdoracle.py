@@ -24,10 +24,14 @@ radial tridiagonal R (flux plus reaction), the CV axial weights D and the
 the free block keeps that form.  One symmetric tridiagonal eigensolve per
 direction, two transforms each way and a pointwise divide give the exact
 discrete solution (the tensor-product method of Lynch, Rice & Thomas,
-Numer. Math. 6 (1964)).  The transient keeps a single sparse LU
-factorization, reused at every time step: flowing blood adds a third
+Numer. Math. 6 (1964)).  The backward-Euler transient with still blood
+(u = 0) is the same Kronecker sum: the mass/dt and the Robin rim only add
+to R's diagonal, and no line is pinned.  It is diagonalised once and each
+step costs two transforms each way.  Flowing blood (u > 0) adds a third
 Kronecker term, the lumen-only upwind axial difference, which does not
-commute with T, so no single axial basis diagonalises the operator.
+commute with T, so no single axial basis diagonalises the operator; that
+case keeps one sparse LU factorization, reused at every time step.
+scipy.sparse is imported only there and in the residual probe's stencil.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spl
 from scipy.linalg import eigh_tridiagonal
 
 from .params import ParameterSet, Region, derive_optics, region_index
@@ -145,6 +147,8 @@ def _stencil(grid: Grid2D, d_face, d_cv, m_cv):
     afterwards.  Missing neighbours (domain edges) simply contribute no
     flux, which is a homogeneous Neumann edge by construction.
     """
+    import scipy.sparse as sp
+
     nr, nz = grid.shape
     dz = grid.dz
     jj, ii = np.meshgrid(np.arange(nr), np.arange(nz), indexing="ij")
@@ -208,32 +212,57 @@ def _tridiag_rows(diag, off, x):
     return y
 
 
-def _separable_solve(factors, dz, rhs, values, rows, cols):
-    """Solve A x = rhs with x pinned to `values` outside the free block
-    rows x cols (two slices with explicit bounds), A given by its
-    _line_factors.
+def _kron_matvec(factors, dz, x):
+    """A x on the whole grid, A given by its _line_factors."""
+    r_diag, r_off, d_w, t_diag, t_off = factors
+    return (dz * _tridiag_rows(r_diag, r_off, x)
+            + d_w[:, None] * _tridiag_rows(t_diag, t_off, x.T).T / dz)
 
-    The pinned values move to the right-hand side; on the free block the
-    Kronecker sum diagonalises as R V = D V diag(mu) with V' D V = I and
-    T Q = Q diag(lam), so x = V [(V' b Q) / (dz mu + lam/dz)] Q'
-    (Lynch, Rice & Thomas, Numer. Math. 6 (1964)).
+
+def _separable_factor(factors, dz, rows, cols):
+    """Diagonalise the block rows x cols (two slices with explicit bounds)
+    of A, given by its _line_factors.
+
+    On the block the Kronecker sum diagonalises as R V = D V diag(mu) with
+    V' D V = I and T Q = Q diag(lam), so A^-1 b = V [(V' b Q) / (dz mu +
+    lam/dz)] Q' (Lynch, Rice & Thomas, Numer. Math. 6 (1964)).  Returns
+    (V, Q, divisor) for _separable_apply.
     """
     r_diag, r_off, d_w, t_diag, t_off = factors
-    x = values.copy()
-    x[rows, cols] = 0.0
-    pinned = (dz * _tridiag_rows(r_diag, r_off, x)
-              + d_w[:, None] * _tridiag_rows(t_diag, t_off, x.T).T / dz)
-    b = (rhs - pinned)[rows, cols]
     lam, q = eigh_tridiagonal(t_diag[cols],
                               t_off[cols.start:cols.stop - 1])
     scale = 1.0 / np.sqrt(d_w[rows])
     mu, w = eigh_tridiagonal(r_diag[rows] * scale * scale,
                              r_off[rows.start:rows.stop - 1]
                              * scale[:-1] * scale[1:])
-    v = scale[:, None] * w
-    y = (v.T @ b @ q) / (dz * mu[:, None] + lam[None, :] / dz)
-    x[rows, cols] = v @ y @ q.T
-    return x
+    return scale[:, None] * w, q, dz * mu[:, None] + lam[None, :] / dz
+
+
+def _separable_apply(basis, b):
+    """A^-1 b on the block of a _separable_factor basis: two transforms
+    each way and one pointwise divide."""
+    v, q, den = basis
+    y = (v.T @ b @ q) / den
+    return v @ y @ q.T
+
+
+def _advected_lu(factors, dz, adv):
+    """Sparse LU of A + diag(adv) (x) U on the whole grid, A given by its
+    _line_factors and U the upwind first difference toward +z.  U does not
+    commute with T, so this operator has no separable solve."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    r_diag, r_off, d_w, t_diag, t_off = factors
+    nz = t_diag.size
+    upwind = sp.diags([np.r_[0.0, np.ones(nz - 1)], -np.ones(nz - 1)],
+                      [0, -1])
+    lhs = (dz * sp.kron(sp.diags([r_off, r_diag, r_off], [-1, 0, 1]),
+                        sp.identity(nz))
+           + sp.kron(sp.diags(d_w), sp.diags([t_off, t_diag, t_off],
+                                             [-1, 0, 1])) / dz
+           + sp.kron(sp.diags(adv), upwind))
+    return splu(lhs.tocsc())
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +352,13 @@ def solve_steady_fluence(ps: ParameterSet, sol, nr=300, nz=300,
         raise ValueError("unknown rs_closure %r" % rs_closure)
     rows = slice(1 if domain == "annulus" else 0, stop)
 
-    phi = _separable_solve(_line_factors(grid, d_face, d_cv, m_cv),
-                           grid.dz, q, vals, rows, cols)
+    # the pinned values move to the right-hand side of the free block
+    factors = _line_factors(grid, d_face, d_cv, m_cv)
+    phi = vals.copy()
+    phi[rows, cols] = 0.0
+    b = (q - _kron_matvec(factors, grid.dz, phi))[rows, cols]
+    phi[rows, cols] = _separable_apply(
+        _separable_factor(factors, grid.dz, rows, cols), b)
     free = np.zeros((nrn, nzn), dtype=bool)
     free[rows, cols] = True
 
@@ -449,13 +483,37 @@ def solve_transient_temperature(ps: ParameterSet, sol, nr=200, nz=220,
     rho c_p dT/dt = div(k grad T) - c_b omega (T - T_b)
                     - rho_b c_b u dT/dz + mu_a phi    (phi = 0 behind tip)
 
-    Robin cooling at r_s, insulated z ends, uniform start at T_b.  The
-    fixed matrix is factorized once; each step is a pair of triangular
-    solves.  heating="none" switches the laser off (used by validation
-    tests); the convective term applies in the blood lumen only and is
-    first-order upwinded.
+    Robin cooling at r_s, insulated z ends, uniform start at T_b.
+    heating="none" switches the laser off (used by validation tests); the
+    convective term applies in the blood lumen only and is first-order
+    upwinded.  Every snapshot time must be a whole number of steps.
+
+    Each step solves (M/dt + A + Robin) T = M T_old/dt + sources.  With
+    u = 0 the mass and the Robin rim are radial diagonals, so the matrix
+    is the steady solve's Kronecker sum with R' = R + diag(rho c_p area/dt)
+    + r_s h e_last: it is diagonalised once, and each step is two
+    transforms each way and a divide.  With u > 0 the lumen advection adds
+    a third Kronecker term, diag(lumen) (x) upwind difference, which does
+    not commute with T; that matrix gets one sparse LU factorization,
+    reused at every step.
     """
     t0 = time.perf_counter()
+    if heating not in ("analytic_fluence", "none"):
+        raise ValueError("unknown heating %r" % heating)
+    if heating == "analytic_fluence" and sol is None:
+        raise ValueError("heating='analytic_fluence' needs a fluence "
+                         "solution")
+    if not 0.0 < dt < np.inf:
+        raise ValueError("dt must be finite and > 0, got %r" % dt)
+    snapshot_times = np.asarray(sorted(snapshot_times), dtype=float)
+    if (snapshot_times.size == 0 or not np.all(np.isfinite(snapshot_times))
+            or snapshot_times[0] < 0.0):
+        raise ValueError("snapshot_times must be finite, >= 0 and not "
+                         "empty, got %r" % (snapshot_times,))
+    marks = np.rint(snapshot_times / dt)
+    if np.any(np.abs(snapshot_times / dt - marks) > 1e-9):
+        raise ValueError("snapshot_times %r are not whole multiples of "
+                         "dt = %r" % (snapshot_times, dt))
     geo = ps.geometry
     proto = ps.protocol
     grid = make_grid(geo, nr, nz)
@@ -465,39 +523,36 @@ def solve_transient_temperature(ps: ParameterSet, sol, nr=200, nz=220,
     c_b = ps.blood_thermal.c_p
     react_of = {reg: c_b * ps.thermal_of(reg).omega for reg in Region}
     d_face, d_cv, m_cv, _ = _per_node_coeffs(grid, geo, diff_of, react_of)
-    op = _stencil(grid, d_face, d_cv, m_cv)
-
-    # Robin at r_s: outward flux h (T - T_air) over the rim of each CV
-    rim = geo.r_s * grid.dz * proto.h_air
-    idx_rs = (nrn - 1) * nzn + np.arange(nzn)
-    robin = sp.coo_matrix((np.full(nzn, rim), (idx_rs, idx_rs)),
-                          shape=op.shape)
-    op = (op + robin).tocsr()
-    rhs_fixed = np.zeros(nrn * nzn)
-    rhs_fixed[idx_rs] += rim * proto.T_air
-
-    # perfusion sink is relative to blood temperature
-    rhs_fixed += (m_cv * grid.area * grid.dz * proto.T_b)[:, None] \
-        .repeat(nzn, axis=1).ravel()
-
-    if proto.u > 0.0:
-        # upwind advection, lumen nodes only, flow toward +z
-        lumen = np.nonzero(grid.r < geo.r_i)[0]
-        w = np.repeat(ps.blood_thermal.rho_cp * proto.u * grid.area[lumen],
-                      nzn - 1)
-        k = (lumen[:, None] * nzn + np.arange(1, nzn)[None, :]).ravel()
-        op = (op + sp.coo_matrix(
-            (np.concatenate([w, -w]),
-             (np.concatenate([k, k]), np.concatenate([k, k - 1]))),
-            shape=op.shape)).tocsr()
-
     # CV-averaged volumetric heat capacity (reuse the reaction averager)
     rho_cp_of = {reg: ps.thermal_of(reg).rho_cp for reg in Region}
     _, _, rho_cp_cv, _ = _per_node_coeffs(grid, geo, diff_of, rho_cp_of)
-    mass = ((rho_cp_cv * grid.area * grid.dz)[:, None]
-            .repeat(nzn, axis=1).ravel())
-    lhs = (sp.diags(mass / dt) + op).tocsc()
-    lu = spl.splu(lhs)
+    mass = (rho_cp_cv * grid.area * grid.dz)[:, None]
+
+    # R' = R + diag(rho c_p area/dt) + r_s h e_last, in place; the last
+    # term is the Robin flux h (T - T_air) over the rim of each CV at r_s
+    factors = _line_factors(grid, d_face, d_cv, m_cv)
+    r_diag = factors[0]
+    r_diag += rho_cp_cv * grid.area / dt
+    r_diag[-1] += geo.r_s * proto.h_air
+    # perfusion sink is relative to blood temperature
+    rhs_fixed = np.repeat((m_cv * grid.area * grid.dz * proto.T_b)[:, None],
+                          nzn, axis=1)
+    rhs_fixed[-1] += geo.r_s * grid.dz * proto.h_air * proto.T_air
+
+    if proto.u > 0.0:
+        # upwind advection, lumen nodes only, flow toward +z
+        lu = _advected_lu(factors, grid.dz, np.where(
+            grid.r < geo.r_i, ps.blood_thermal.rho_cp * proto.u * grid.area,
+            0.0))
+
+        def solve(rhs):
+            return lu.solve(rhs.ravel()).reshape(nrn, nzn)
+    else:
+        basis = _separable_factor(factors, grid.dz, slice(0, nrn),
+                                  slice(0, nzn))
+
+        def solve(rhs):
+            return _separable_apply(basis, rhs)
 
     mu_a_node = np.array([ps.optics_of(reg).mu_a for reg in Region])[
         region_index(grid.r, geo)]
@@ -505,25 +560,17 @@ def solve_transient_temperature(ps: ParameterSet, sol, nr=200, nz=220,
     if heating == "analytic_fluence":
         profiles = sol.profiles(grid.r)
 
-    snapshot_times = np.asarray(sorted(snapshot_times), dtype=float)
-    steps = int(round(snapshot_times[-1] / dt))
+    # snapshots per step index; the fields are never written in place
+    per_step = np.bincount(marks.astype(int))
     temp = np.full((nrn, nzn), proto.T_b)
-    shots = [temp.copy() if snapshot_times[0] == 0.0 else None]
-    if shots[0] is None:
-        shots = []
-    want = list(snapshot_times[1:] if snapshot_times[0] == 0.0
-                else snapshot_times)
-
-    for n in range(1, steps + 1):
-        t = n * dt
-        rhs = mass / dt * temp.ravel() + rhs_fixed
+    shots = [temp] * per_step[0]
+    for n in range(1, per_step.size):
+        rhs = mass / dt * temp + rhs_fixed
         if heating == "analytic_fluence":
-            phi = _analytic_on_grid(sol, grid, t, profiles)
-            rhs = rhs + (mu_a_node[:, None] * phi * cell).ravel()
-        temp = lu.solve(rhs).reshape(nrn, nzn)
-        while want and t >= want[0] - 0.5 * dt:
-            shots.append(temp.copy())
-            want.pop(0)
+            phi = _analytic_on_grid(sol, grid, n * dt, profiles)
+            rhs = rhs + mu_a_node[:, None] * phi * cell
+        temp = solve(rhs)
+        shots += [temp] * per_step[n]
     return TransientResult(grid=grid, times=snapshot_times,
                            snapshots=np.array(shots),
                            seconds=time.perf_counter() - t0)

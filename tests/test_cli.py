@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import evla
 from evla import cli, validate
@@ -155,6 +156,22 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert cli.main(["fluence", "--config", str(bad)]) == 2
     bad.write_text("[protocol]\nwavelength = abc\n")
     assert cli.main(["fluence", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["fluence", "--times", "nan"],
+    ["fluence", "--grid", "1,1"],
+    ["temperature", "--times", "nan"],
+    ["temperature", "--grid", "1,1"],
+    ["damage", "--map", "--grid", "1,1"],
+])
+def test_bad_grid_or_times_exit_before_the_solve(argv, monkeypatch, capsys):
+    # `damage` takes no --times
+    def no_solve(ps):
+        raise AssertionError("solved before --grid/--times were parsed")
+    monkeypatch.setattr(cli, "assemble_and_solve", no_solve)
+    assert cli.main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_env_config_is_picked_up(tmp_path, monkeypatch, capsys):

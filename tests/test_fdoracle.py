@@ -6,14 +6,31 @@ against the control-volume source q A dz, so any deviation there is an
 assembly bug rather than truncation error.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
+import evla
 from evla import fdoracle as fd
 from evla.fluence import assemble_and_solve
 from evla.params import Region, default_params, derive_optics
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # only the residual probe's stencil and the u > 0 transient need it
+    src = str(Path(evla.__file__).resolve().parents[1])
+    code = ("import sys, evla.fdoracle; "
+            "print('scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 # --- grids -------------------------------------------------------------------
@@ -274,3 +291,86 @@ def test_transient_advection_heated_pinned():
     np.testing.assert_allclose(out.snapshots.reshape(2, -1).sum(axis=1),
                                [236784.33885693926, 390237.8180583217],
                                rtol=1e-12)
+
+
+def _sparse_transient_reference(ps, sol, grid, dt, times, heating,
+                                rim_scale=1.0):
+    """The u = 0 backward-Euler steps assembled from _stencil, the Robin
+    rim (times rim_scale) and mass/dt, solved by sparse LU: the reference
+    for the separable transient."""
+    geo, proto = ps.geometry, ps.protocol
+    nr, nz = grid.shape
+    diff_of = {reg: ps.thermal_of(reg).k for reg in Region}
+    react_of = {reg: ps.blood_thermal.c_p * ps.thermal_of(reg).omega
+                for reg in Region}
+    rho_cp_of = {reg: ps.thermal_of(reg).rho_cp for reg in Region}
+    d_face, d_cv, m_cv, _ = fd._per_node_coeffs(grid, geo, diff_of, react_of)
+    _, _, rho_cp_cv, _ = fd._per_node_coeffs(grid, geo, diff_of, rho_cp_of)
+    op = fd._stencil(grid, d_face, d_cv, m_cv)
+    rim = rim_scale * geo.r_s * grid.dz * proto.h_air
+    idx = (nr - 1) * nz + np.arange(nz)
+    mass = np.repeat(rho_cp_cv * grid.area * grid.dz, nz)
+    lu = spl.splu((op + sp.coo_matrix((np.full(nz, rim), (idx, idx)),
+                                      shape=op.shape)
+                   + sp.diags(mass / dt)).tocsc())
+    rhs_fixed = np.repeat(m_cv * grid.area * grid.dz * proto.T_b, nz)
+    rhs_fixed[idx] += rim * proto.T_air
+    mu_a = np.array([ps.optics_of(reg).mu_a for reg in Region])[
+        fd.region_index(grid.r, geo)]
+    profiles = sol.profiles(grid.r)
+    temp = np.full(nr * nz, proto.T_b)
+    shots = []
+    for n in range(1, int(round(max(times) / dt)) + 1):
+        rhs = mass / dt * temp + rhs_fixed
+        if heating == "analytic_fluence":
+            phi = fd._analytic_on_grid(sol, grid, n * dt, profiles)
+            rhs += (mu_a[:, None] * phi * grid.area[:, None]
+                    * grid.dz).ravel()
+        temp = lu.solve(rhs)
+        if any(abs(n * dt - t) < 1e-9 for t in times):
+            shots.append(temp.reshape(nr, nz))
+    return np.array(shots)
+
+
+@pytest.mark.parametrize("dt", [0.25, 0.5])
+@pytest.mark.parametrize("h_air", [1e-4, 1e-3])
+@pytest.mark.parametrize("heating", ["analytic_fluence", "none"])
+def test_separable_transient_matches_sparse_lu(sol810, heating, h_air, dt):
+    # h_air at and above 10x the default, so that the rim moves the field
+    # enough for the perturbed check below to resolve
+    ps = default_params(810, 15.0, h_air=h_air)
+    times = (1.0, 4.0, 8.0)
+    out = fd.solve_transient_temperature(ps, sol810, nr=30, nz=24, dt=dt,
+                                         snapshot_times=times,
+                                         heating=heating)
+
+    def gaps(rim_scale):
+        want = _sparse_transient_reference(ps, sol810, out.grid, dt, times,
+                                           heating, rim_scale)
+        return [np.linalg.norm(a - b) / np.linalg.norm(b)
+                for a, b in zip(out.snapshots, want)]
+
+    assert max(gaps(1.0)) <= 1e-12, gaps(1.0)
+    # the comparison resolves a 1e-9 relative change of the Robin rim
+    assert max(gaps(1.0 + 1e-9)) > 1e-12, gaps(1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("change, match", [
+    (dict(heating="analytic"), "unknown heating"),
+    (dict(heating="analytic_fluence", sol=None), "needs a fluence"),
+    (dict(dt=-0.5), "dt must"),
+    (dict(dt=0.0), "dt must"),
+    (dict(dt=np.nan), "dt must"),
+    (dict(dt=np.inf), "dt must"),
+    (dict(snapshot_times=()), "snapshot_times must"),
+    (dict(snapshot_times=(np.nan,)), "snapshot_times must"),
+    (dict(snapshot_times=(-1.0, 1.0)), "snapshot_times must"),
+    (dict(dt=0.4, snapshot_times=(1.0,)), "whole multiples"),
+], ids=["heating", "no-sol", "dt-neg", "dt-zero", "dt-nan", "dt-inf",
+        "times-empty", "times-nan", "times-neg", "times-off-step"])
+def test_transient_rejects_bad_inputs(ps810, sol810, change, match):
+    args = dict(sol=sol810, nr=24, nz=20, dt=0.5, snapshot_times=(1.0,),
+                heating="none")
+    args.update(change)
+    with pytest.raises(ValueError, match=match):
+        fd.solve_transient_temperature(ps810, **args)
