@@ -4,7 +4,8 @@ The dose is Omega(t) = A int_0^t exp[-E_a / (R T_K(tau))] dtau with T_K
 the absolute temperature of the sample path.  Everything here works on
 already-sampled histories; the temperature construction is free to
 diverge, so the rate is clamped to zero at or below absolute zero rather
-than letting the exponent change sign.
+than letting the exponent change sign.  A NaN temperature has no dose and
+raises DomainError.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluence import DomainError
-from .params import MATERIAL_OF, R_GAS, ParameterSet, Region, region_index
-
-_T_ABS_ZERO_C = -273.15
+from .params import (KELVIN_OFFSET, MATERIAL_OF, R_GAS, ParameterSet, Region,
+                     region_index)
 
 # history samples per temperature evaluation in damage_map: bounds the
 # (r, z, t) temporaries of eval (tens of bytes per sample) on large maps
@@ -28,11 +28,14 @@ def arrhenius_rate(temp_c, A, E_a):
     and E_a broadcast.
 
     Zero at or below absolute zero (the divergent temperature model can
-    produce such samples; a vanishing rate is the only sane reading).
+    produce such samples; a vanishing rate is the only sane reading), A at
+    +inf; a NaN temperature raises DomainError.
     """
     t_k, A, E_a = np.broadcast_arrays(
-        np.asarray(temp_c, dtype=float) - _T_ABS_ZERO_C,
+        np.asarray(temp_c, dtype=float) + KELVIN_OFFSET,
         np.asarray(A, dtype=float), np.asarray(E_a, dtype=float))
+    if np.any(np.isnan(t_k)):
+        raise DomainError("NaN temperature")
     ok = t_k > 0.0
     out = np.zeros(t_k.shape)
     if np.any(ok):
@@ -98,10 +101,13 @@ def isothermal_crossing_time(temp_c, A, E_a, threshold=1.0):
 
     Returns inf when the closed form overflows (cold enough that the
     answer exceeds the float range) and for temperatures at or below
-    absolute zero.  Evaluated at the floor temperature of a heating
-    trajectory this upper-bounds the true crossing time.
+    absolute zero; a NaN temperature raises DomainError.  Evaluated at the
+    floor temperature of a heating trajectory this upper-bounds the true
+    crossing time.
     """
-    t_k = temp_c - _T_ABS_ZERO_C
+    t_k = temp_c + KELVIN_OFFSET
+    if np.isnan(t_k):
+        raise DomainError("NaN temperature")
     if t_k <= 0.0:
         return np.inf
     log_t = E_a / (R_GAS * t_k) + np.log(threshold) - np.log(A)

@@ -42,9 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .params import ParameterSet, Region, derive_optics, region_index
+from .params import ParameterSet, Region, region_index
 
 _MIN_NODES_PER_REGION = 8
+_PROBE_HALO = 3     # coarse cells left out next to interfaces and edges
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,7 @@ class Grid2D:
 
 
 def _region_edges(geo, rmin):
-    edges = [0.0, geo.r_f, geo.r_i, geo.r_w, geo.r_p, geo.r_s]
-    edges = [e for e in edges if e > rmin]
-    return np.array([rmin] + edges)
+    return np.array([rmin] + [e for e in geo.edges if e > rmin])
 
 
 def region_counts(geo, nr, rmin=0.0):
@@ -85,20 +84,17 @@ def region_counts(geo, nr, rmin=0.0):
                       np.round(nr * widths / widths.sum()).astype(int))
 
 
-def make_grid(geo, nr, nz, rmin=0.0, zmin=None, zmax=None, scale=1,
-              counts=None) -> Grid2D:
-    """Tensor grid; scale=2 produces the grid exactly once refined."""
+def make_grid(geo, nr, nz, rmin=0.0, scale=1) -> Grid2D:
+    """Tensor grid over [rmin, r_s] x [-L, L]: region_counts(geo, nr, rmin)
+    radial cells per region, nz axial cells; scale=2 produces the grid
+    exactly once refined."""
     edges = _region_edges(geo, rmin)
-    if counts is None:
-        counts = region_counts(geo, nr, rmin)
-    counts = np.asarray(counts) * scale
+    counts = region_counts(geo, nr, rmin) * scale
     nz = nz * scale
     r = np.unique(np.concatenate(
         [np.linspace(edges[i], edges[i + 1], counts[i] + 1)
          for i in range(len(counts))]))
-    zmin = -geo.L if zmin is None else zmin
-    zmax = geo.L if zmax is None else zmax
-    z = np.linspace(zmin, zmax, nz + 1)
+    z = np.linspace(-geo.L, geo.L, nz + 1)
     rface = 0.5 * (r[1:] + r[:-1])
     lo = np.empty_like(r)
     hi = np.empty_like(r)
@@ -283,20 +279,16 @@ class SteadyComparison:
 
 def _analytic_on_grid(sol, grid: Grid2D, t, profiles):
     """Closed-form fluence on the tensor grid at time t, zero behind the
-    tip.  profiles = sol.profiles(grid.r), computed once per grid; only
-    the axial exponentials depend on t."""
-    blood = derive_optics(sol.ps.blood_optics)
-    prof_e, prof_t = profiles
+    tip.  profiles = sol.radial.values(grid.r), computed once per grid;
+    only the axial exponentials depend on t."""
     zeta = grid.z + sol.ps.protocol.v * t
-    field = (prof_e[:, None] * np.exp(-blood.mu_eff * zeta)[None, :]
-             + prof_t[:, None] * np.exp(-blood.mu_t * zeta)[None, :])
+    field = sol.axial_sum(profiles[:, :, None], zeta)
     return np.where(zeta[None, :] < 0.0, 0.0, field)
 
 
 def solve_steady_fluence(ps: ParameterSet, sol, nr=300, nz=300,
                          domain="annulus", rs_closure="trace",
-                         z_closure="trace", frame_t=None,
-                         scale=1) -> SteadyComparison:
+                         z_closure="trace", scale=1) -> SteadyComparison:
     """Conservative FV solve of the steady light-diffusion equation, and
     its comparison against the closed form on the same grid.
 
@@ -304,14 +296,12 @@ def solve_steady_fluence(ps: ParameterSet, sol, nr=300, nz=300,
     rs_closure: "trace", "zero_value" or "zero_flux" at r_s.
     z_closure:  "trace" or "zero_flux" at z = +-L.
     scale:      2 re-solves on the exactly-once-refined grid.
-    The frame is frozen at t = frame_t (default t_end, when the source
-    column spans the whole axial extent).
+    The frame is frozen at t = t_end, when the source column spans the
+    whole axial extent.
     """
     t0 = time.perf_counter()
     geo = ps.geometry
     proto = ps.protocol
-    if frame_t is None:
-        frame_t = proto.t_end
     rmin = geo.r_f if domain == "annulus" else 0.0
     if domain not in ("annulus", "full"):
         raise ValueError("unknown domain %r" % domain)
@@ -324,14 +314,14 @@ def solve_steady_fluence(ps: ParameterSet, sol, nr=300, nz=300,
         grid, geo, diff_of, react_of,
         src_radius=geo.r_f)
 
-    blood = derive_optics(ps.blood_optics)
     src = sol.src
-    zeta = grid.z + proto.v * frame_t
-    q = (s_cv[:, None] * src.S0 * np.exp(-blood.mu_t * zeta)[None, :]
+    zeta = grid.z + proto.v * proto.t_end
+    q = (s_cv[:, None] * src.S0 * np.exp(-src.mu_t * zeta)[None, :]
          * grid.area[:, None] * grid.dz)
     q[:, zeta < 0.0] = 0.0
 
-    ref = _analytic_on_grid(sol, grid, frame_t, sol.profiles(grid.r))
+    ref = _analytic_on_grid(sol, grid, proto.t_end,
+                            sol.radial.values(grid.r))
 
     # every closure pins whole grid lines, so the free nodes form the
     # block rows x cols of the tensor grid
@@ -389,14 +379,15 @@ class ResidualProbe:
 
 
 def residual_probe(ps: ParameterSet, field, diff_of, react_of, source=None,
-                   rmin=0.0, nr=120, nz=120, halo=3) -> ResidualProbe:
+                   rmin=0.0, nr=120, nz=120) -> ResidualProbe:
     """Apply the discrete operator to an exact field on an h and an h/2
     grid and estimate per-region truncation orders.
 
     field(r_mesh, z_mesh) -> values; source(r_mesh, z_mesh) -> volumetric
-    source or None.  Nodes within `halo` cells of an interface or boundary
-    are excluded: the scheme is locally lower-order where coefficients
-    kink, and the probe targets the smooth interior.
+    source or None.  Nodes within _PROBE_HALO coarse cells (the same
+    physical band on both grids) of an interface or boundary are
+    excluded: the scheme is locally lower-order where coefficients kink,
+    and the probe targets the smooth interior.
     """
     geo = ps.geometry
 
@@ -412,11 +403,11 @@ def residual_probe(ps: ParameterSet, field, diff_of, react_of, source=None,
             res -= source(rr, zz) * grid.area[:, None] * grid.dz
         vol = grid.area[:, None] * grid.dz * np.ones_like(res)
         res = res / vol                       # back to PDE units
-        h = halo * scale   # exclude a fixed physical band, not node count
+        h = _PROBE_HALO * scale
         interior = np.ones(grid.shape, dtype=bool)
         interior[:h, :] = interior[-h:, :] = False
         interior[:, :h] = interior[:, -h:] = False
-        for r_edge in (geo.r_f, geo.r_i, geo.r_w, geo.r_p):
+        for r_edge in geo.edges[1:-1]:
             if r_edge <= rmin:
                 continue
             j = int(np.argmin(np.abs(grid.r - r_edge)))
@@ -437,21 +428,18 @@ def residual_probe(ps: ParameterSet, field, diff_of, react_of, source=None,
     return ResidualProbe(norms_coarse=coarse, norms_fine=fine, orders=orders)
 
 
-def fluence_residual_probe(ps: ParameterSet, sol, nr=120, nz=120,
-                           frame_t=None) -> ResidualProbe:
+def fluence_residual_probe(ps: ParameterSet, sol, nr=120,
+                           nz=120) -> ResidualProbe:
     """Truncation orders of the steady light-diffusion operator applied to
-    the closed-form field (exact solutions show the scheme's own O(h^2))."""
-    if frame_t is None:
-        frame_t = ps.protocol.t_end
-    blood = derive_optics(ps.blood_optics)
+    the closed-form field at t = t_end (exact solutions show the scheme's
+    own O(h^2))."""
+    frame_t = ps.protocol.t_end
 
     def field(rr, zz):
         # rr rows are constant radii by construction of the probe grids;
         # the exact field is continued behind the tip (no zeta < 0 mask)
-        prof_e, prof_t = sol.profiles(rr[:, 0])
-        zeta = zz + ps.protocol.v * frame_t
-        return (prof_e[:, None] * np.exp(-blood.mu_eff * zeta)
-                + prof_t[:, None] * np.exp(-blood.mu_t * zeta))
+        return sol.axial_sum(sol.radial.values(rr[:, 0])[:, :, None],
+                             zz + ps.protocol.v * frame_t)
 
     def source(rr, zz):
         return sol.src.eval(rr, zz, frame_t)
@@ -558,7 +546,7 @@ def solve_transient_temperature(ps: ParameterSet, sol, nr=200, nz=220,
         region_index(grid.r, geo)]
     cell = grid.area[:, None] * grid.dz
     if heating == "analytic_fluence":
-        profiles = sol.profiles(grid.r)
+        profiles = sol.radial.values(grid.r)
 
     # snapshots per step index; the fields are never written in place
     per_step = np.bincount(marks.astype(int))

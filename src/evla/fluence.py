@@ -26,9 +26,8 @@ from . import layered
 from .layered import (
     IK, JY, LayerSpec, RadialPiecewise, SolverError, assemble, stack,
 )
-from .params import ConfigError, ParameterSet, Region, derive_optics
-
-OUTER_REGIONS = (Region.WALL, Region.PAD, Region.SKIN)
+from .params import (OUTER, OUTER_FIRST, ConfigError, ParameterSet, Region,
+                     derive_optics)
 
 
 class NonPositiveRadicand(ConfigError):
@@ -46,6 +45,12 @@ class NonPositiveRadicand(ConfigError):
 
 class DomainError(ValueError):
     """Evaluation point outside the domain of validity."""
+
+
+def _require_finite(r, z, t):
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(z))
+            and np.all(np.isfinite(t))):
+        raise DomainError("non-finite r, z or t")
 
 
 def distinct_values(x):
@@ -109,7 +114,7 @@ def branch_factors(ps: ParameterSet) -> BranchFactors:
         raise NonPositiveRadicand(Region.BLOOD_ANNULUS, "beta", b2)
     beta[Region.BLOOD_ANNULUS] = math.sqrt(b2)
 
-    for region in OUTER_REGIONS:
+    for region in OUTER:
         mu_eff_j = ps.derived_of(region).mu_eff
         k2 = mu_eff_j ** 2 - blood.mu_eff ** 2
         if k2 == 0.0:
@@ -132,33 +137,34 @@ class FluenceSolution:
 
     radial holds the mu_eff profile (row 0: B0 flat through the lumen,
     I0/K0 or J0/Y0 outside) and the mu_t profile (row 1: -P_in flat in the
-    fiber column, J0/Y0 outside it) over all five zones.
+    fiber column, J0/Y0 outside it) over all five zones; axial holds the
+    blood rates (mu_eff, mu_t) of their axial factors.
     """
 
     ps: ParameterSet
     src: SourceTerm
-    branch: BranchFactors
+    axial: tuple                 # (mu_eff, mu_t) of blood [1/mm]
     P_in: float                  # particular amplitude S0/(D mu_t^2 - mu_a)
     B0: float
     radial: RadialPiecewise
-    normalization: str
-    closure: str
     cond_eff: float
     cond_t: float
 
-    def profiles(self, r):
-        """(mu_eff profile, mu_t profile) at radii r in [0, r_s], each in the
-        region that contains it: shape (2, *r.shape)."""
-        return self.radial.values(r)
+    def axial_sum(self, rows, zeta):
+        """rows[0] e^{-mu_eff zeta} + rows[1] e^{-mu_t zeta}: the field of the
+        radial rows (radial.values at some radii) at the co-moving
+        coordinate zeta = z + v t, arrays broadcast.  The exponentials are
+        taken on zeta's own shape; nothing is masked behind the tip."""
+        mu_eff, mu_t = self.axial
+        return (rows[0] * np.exp(-mu_eff * zeta)
+                + rows[1] * np.exp(-mu_t * zeta))
 
     # -- full field ----------------------------------------------------
 
     def _check_domain(self, r, z, t):
         geo = self.ps.geometry
         proto = self.ps.protocol
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(z))
-                and np.all(np.isfinite(t))):
-            raise DomainError("non-finite r, z or t")
+        _require_finite(r, z, t)
         if np.any(r < 0) or np.any(r > geo.r_s + 1e-12):
             raise DomainError("r outside [0, r_s]")
         if np.any(t < 0) or np.any(t > proto.t_end):
@@ -177,12 +183,9 @@ class FluenceSolution:
             np.asarray(r, dtype=float), np.asarray(z, dtype=float),
             np.asarray(t, dtype=float))
         self._check_domain(r, z, t)
-        blood = derive_optics(self.ps.blood_optics)
         ru, inv = distinct_values(r)
-        p_eff, p_t = self.profiles(ru)
-        zeta = z + self.ps.protocol.v * t      # co-moving coordinate
-        out = (p_eff[inv] * np.exp(-blood.mu_eff * zeta)
-               + p_t[inv] * np.exp(-blood.mu_t * zeta))
+        out = self.axial_sum(self.radial.values(ru)[:, inv],
+                             z + self.ps.protocol.v * t)
         if out.ndim == 0:
             return float(out)
         return out
@@ -232,46 +235,46 @@ def assemble_and_solve(ps: ParameterSet, normalization="max_at_tip",
         raise ConfigError("unknown closure %r" % closure)
 
     d_of = [ps.derived_of(region).D for region in Region]
-    first = tuple(Region).index(Region.WALL)
 
     # mu_eff family over wall, pad, skin: value B0 and zero flux at r_i
     # (the lumen profile is flat), no closure row at r_s
     eff = LayerSpec(
-        geo, first,
-        kind=np.array([[branch.w_kind[reg].value] for reg in OUTER_REGIONS]),
-        q=np.array([[branch.kappa[reg]] for reg in OUTER_REGIONS]),
-        cond=d_of[first:], inner=(("value", b0), ("flux", 0.0)))
+        geo, OUTER_FIRST,
+        kind=np.array([[branch.w_kind[reg].value] for reg in OUTER]),
+        q=np.array([[branch.kappa[reg]] for reg in OUTER]),
+        cond=d_of[OUTER_FIRST:], inner=(("value", b0), ("flux", 0.0)))
     p_eff, cond_eff = assemble(eff).solve("mu_eff")
 
     # mu_t family over the annulus and the outer regions: value -P_in at
     # r_f (no flux row there: the column ansatz is flat in r, so a flux
     # row would over-determine the square system), closure row at r_s
-    t_regions = (Region.BLOOD_ANNULUS,) + OUTER_REGIONS
+    t_regions = (Region.BLOOD_ANNULUS,) + OUTER
     mu_t = LayerSpec(
-        geo, first - 1, kind=np.full((len(t_regions), 1), JY),
+        geo, OUTER_FIRST - 1, kind=np.full((len(t_regions), 1), JY),
         q=np.array([[branch.beta[reg]] for reg in t_regions]),
-        cond=d_of[first - 1:], inner=(("value", -p_in),),
+        cond=d_of[OUTER_FIRST - 1:], inner=(("value", -p_in),),
         outer=_CLOSURE[closure])
     p_t, cond_t = assemble(mu_t).solve("mu_t")
 
     sol = FluenceSolution(
-        ps=ps, src=src, branch=branch, P_in=p_in, B0=b0,
+        ps=ps, src=src, axial=(blood.mu_eff, blood.mu_t), P_in=p_in, B0=b0,
         radial=stack([p_eff.flat_inside(b0), p_t.flat_inside(-p_in)]),
-        normalization=normalization, closure=closure,
         cond_eff=float(cond_eff[0]), cond_t=float(cond_t[0]))
     _residual_check(sol)
     return sol
 
 
-def interface_jumps(sol: FluenceSolution):
+def interface_jumps(sol: FluenceSolution, weights=None):
     """Relative value/flux jumps of both families at every interface.
 
     Returns {interface_name: (value_jump_rel, flux_jump_rel)} where flux
-    means D dphi/dr.  The r_f entry reports only the value jump of the
-    composite field (the construction imposes no flux condition there).
+    means D dphi/dr, of the fields sum_f weights[f] * family f, one per
+    column of weights (layered.interface_jumps; default the plain sum).
+    The r_f entry reports only the value jump of the composite field (the
+    construction imposes no flux condition there).
     """
     d_of = [sol.ps.derived_of(region).D for region in Region]
-    out = layered.interface_jumps(sol.radial, d_of)
+    out = layered.interface_jumps(sol.radial, d_of, weights)
     out["r_f"] = (out["r_f"][0], None)
     return out
 
@@ -298,17 +301,19 @@ def eval_fluence_transient(protocol, blood_optics, r, z, t, r_f=0.3):
     zeta = nu (D mu_t^2 - mu_a) > 0: the transient formulation is only
     meaningful at optical time scales.  t is in seconds (picosecond
     arguments are ~1e-12); values overflow to +inf beyond nanoseconds,
-    which is the point being demonstrated.
+    which is the point being demonstrated.  Non-finite r, z or t, r < 0
+    and t < 0 raise DomainError.
     """
-    r = np.asarray(r, dtype=float)
+    r, z, t = (np.asarray(c, dtype=float) for c in (r, z, t))
+    _require_finite(r, z, t)
+    if np.any(r < 0) or np.any(t < 0):
+        raise DomainError("negative r or t")
     if np.any(r >= r_f):
         raise DomainError("transient form is defined inside the fiber "
                           "column only (r < r_f)")
     zeta = transient_growth_rate(blood_optics)
     d = derive_optics(blood_optics)
     src = build_source(protocol, blood_optics, r_f=r_f)
-    z = np.asarray(z, dtype=float)
-    t = np.asarray(t, dtype=float)
     s_of_z = src.S0 * np.exp(-d.mu_t * z)
     rate = zeta + d.mu_t * protocol.v
     nu_per_s = d.nu * 1e12

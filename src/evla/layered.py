@@ -25,7 +25,7 @@ from .params import Geometry, Region, region_index
 
 FLAT, JY, IK = 0, 1, 2          # basis kinds: (1, 0), J0/Y0, I0/K0
 
-# the interface between zone k and zone k + 1 of tuple(Region)
+# names of Geometry.edges[1:-1]: interface k joins zones k, k + 1 of Region
 EDGES = ("r_f", "r_i", "r_w", "r_p")
 
 # per kind: the specfn names of the value functions and of the derivative
@@ -220,9 +220,7 @@ class InterfaceSystem:
 def assemble(spec: LayerSpec) -> InterfaceSystem:
     """Build the column-scaled matching system of every batch column."""
     zones, batch = spec.kind.shape
-    geo = spec.geo
-    # zone k of tuple(Region) spans [radii[k], radii[k + 1]]
-    radii = (0.0, geo.r_f, geo.r_i, geo.r_w, geo.r_p, geo.r_s)[spec.first:]
+    radii = spec.geo.edges[spec.first:]
     n = 2 * zones
     # val[j] / flux[j]: (batch, 2 edges, 2 functions) of zone j
     val, flux = [], []
@@ -271,7 +269,7 @@ def interface_jumps(prof: RadialPiecewise, cond, weights=None):
     regions = tuple(Region)[prof.first:]
     out = {}
     for j, name in enumerate(EDGES[prof.first:]):
-        rb = [getattr(prof.geo, name)]
+        rb = [prof.geo.edges[prof.first + j + 1]]
         jumps = []
         for deriv, floor in ((False, 1e-300), (True, 1e-30)):
             v_in, v_out = (

@@ -59,6 +59,10 @@ MATERIAL_OF = {
 
 MATERIALS = ("blood", "wall", "pad", "skin")
 
+# the tissue zones outside the lumen; OUTER_FIRST indexes tuple(Region)
+OUTER = (Region.WALL, Region.PAD, Region.SKIN)
+OUTER_FIRST = tuple(Region).index(Region.WALL)
+
 # ---------------------------------------------------------------------------
 # literature values, in their published units
 # ---------------------------------------------------------------------------
@@ -230,6 +234,12 @@ class Geometry:
     def r_w(self):
         # outer wall radius
         return self.r_i + self.eps
+
+    @property
+    def edges(self):
+        """The zone edges (0, r_f, r_i, r_w, r_p, r_s): zone k of
+        tuple(Region) spans [edges[k], edges[k + 1]]."""
+        return (0.0, self.r_f, self.r_i, self.r_w, self.r_p, self.r_s)
 
 
 @dataclass(frozen=True)
@@ -426,8 +436,7 @@ def params_from_env_or_default(config_path=None, preset=None, **overrides):
 def region_index(r, geo: Geometry):
     """Index into tuple(Region) of the region holding each radius: the
     zone edges go to the outer zone; no range check."""
-    return np.searchsorted([geo.r_f, geo.r_i, geo.r_w, geo.r_p], r,
-                           side="right")
+    return np.searchsorted(geo.edges[1:-1], r, side="right")
 
 
 def registry_rows():

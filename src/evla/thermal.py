@@ -48,10 +48,14 @@ import numpy as np
 
 from .fluence import FluenceSolution, assemble_and_solve, distinct_values
 from .layered import IK, JY, LayerSpec, RadialPiecewise, assemble, stack
-from .params import ParameterSet, Region, derive_optics, region_index
+from .params import (OUTER, OUTER_FIRST, ParameterSet, Region,
+                     derive_optics, region_index)
 
-OUTER = (Region.WALL, Region.PAD, Region.SKIN)
-OUTER_FIRST = tuple(Region).index(Region.WALL)
+# the mode scan's end in u = sqrt(-zeta) [1/sqrt(s)]; with the built-in
+# tables the 20th mode lies near u = 1.26
+_U_MAX = 3.0
+# Simpson intervals per tissue zone in the projection quadrature
+_N_PER_REGION = 512
 
 
 class ThermalError(RuntimeError):
@@ -237,8 +241,7 @@ def _refine_roots(f, a, b, fa, fb):
                        "steps")
 
 
-def modal_eigenvalues(ps: ParameterSet, n_modes=20, u_max=3.0,
-                      du=0.002) -> list:
+def modal_eigenvalues(ps: ParameterSet, n_modes=20, du=0.002) -> list:
     """First n_modes radial relaxation modes, slowest first.
 
     The scaled determinant of the interface system is scanned on a grid
@@ -251,9 +254,9 @@ def modal_eigenvalues(ps: ParameterSet, n_modes=20, u_max=3.0,
     together (_build_modes).
 
     Raises BracketExhausted when fewer than n_modes sign changes lie
-    below u_max, or when mode n (0-based) does not change sign exactly n
-    times on (r_i, r_s]: by Sturm oscillation the scan then skipped a
-    root, and du is too coarse.
+    below u = _U_MAX, or when mode n (0-based) does not change sign
+    exactly n times on (r_i, r_s]: by Sturm oscillation the scan then
+    skipped a root, and du is too coarse.
     """
     if n_modes <= 0:
         return []
@@ -263,12 +266,12 @@ def modal_eigenvalues(ps: ParameterSet, n_modes=20, u_max=3.0,
         th = ps.thermal_of(reg)
         # chi = 0 when rho_cp u^2 = c_b omega
         switches.append(math.sqrt(c_b * th.omega / th.rho_cp))
-    pts = sorted(s for s in switches if 0.0 < s < u_max)
+    pts = sorted(s for s in switches if 0.0 < s < _U_MAX)
     segments = []
     lo = 0.005
     margin = 1e-6
-    for s in pts + [u_max]:
-        hi = min(s - margin, u_max)
+    for s in pts + [_U_MAX]:
+        hi = min(s - margin, _U_MAX)
         if hi > lo:
             segments.append((lo, hi))
         lo = s + margin
@@ -286,8 +289,8 @@ def modal_eigenvalues(ps: ParameterSet, n_modes=20, u_max=3.0,
             break
     if len(brackets) < n_modes:
         raise BracketExhausted(
-            "found %d of %d modes by u = %.3f; widen the scan"
-            % (len(brackets), n_modes, u_max))
+            "found %d of %d modes by u = %.3f, the end of the scan"
+            % (len(brackets), n_modes, _U_MAX))
     a, b, fa, fb = np.array(brackets[:n_modes]).T
     roots = _refine_roots(lambda uu: _dets(ps, uu), a, b, fa, fb)
     return _build_modes(ps, roots)
@@ -323,20 +326,18 @@ def _build_modes(ps, u):
             for i, uu in enumerate(u)]
 
 
-def project_initial(ps: ParameterSet, modes, offset: OffsetProfile,
-                    n_per_region=512):
+def project_initial(ps: ParameterSet, modes, offset: OffsetProfile):
     """Amplitudes c_m with sum c_m R_m ~ -Theta over [r_i, r_s].
 
     Weighted least squares in the relaxation problem's natural inner
     product (weight rho c_p r); composite-Simpson quadrature with
-    n_per_region intervals per material.  Returns (c, residual_max,
+    _N_PER_REGION intervals per material.  Returns (c, residual_max,
     residual_l2).
     """
-    geo = ps.geometry
-    edges = (geo.r_i, geo.r_w, geo.r_p, geo.r_s)
+    edges = ps.geometry.edges[OUTER_FIRST:]
     rs, ws = [], []
     for reg, lo, hi in zip(OUTER, edges, edges[1:]):
-        n = n_per_region
+        n = _N_PER_REGION
         r = np.linspace(lo, hi, n + 1)
         w = np.ones(n + 1)
         w[1:-1:2] = 4.0
@@ -408,8 +409,7 @@ class TemperatureSolution:
     def __post_init__(self):
         ps = self.ps
         rates = self.rates
-        blood = derive_optics(ps.blood_optics)
-        mu = np.array([blood.mu_eff, blood.mu_t])
+        mu = np.array(self.sol.axial)
         n_relax = 1 + len(self.modal)
         amp = np.ones((2 + n_relax, len(Region)))
         amp[3:] = np.asarray(self.amplitudes)[:, None]

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import damage, fdoracle, layered, specfn, thermal
-from .fluence import assemble_and_solve
-from .params import ParameterSet, Region, default_params, derive_optics
+from . import damage, fdoracle, specfn, thermal
+from .fluence import assemble_and_solve, interface_jumps
+from .params import ParameterSet, Region, default_params
 
 # two-digit published constant-temperature crossing times [s]
 PUBLISHED_CRIT_TIMES = {
@@ -144,18 +144,12 @@ def criterion_a3(ctx):
 @_timed
 def criterion_a4(ctx):
     """Value/flux continuity of the composite field along 100 z stations."""
-    ps, sol = ctx.ps, ctx.sol
-    geo = ps.geometry
-    blood = derive_optics(ps.blood_optics)
-    z = np.linspace(0.0, geo.L, 100)
-    e_eff = np.exp(-blood.mu_eff * z)
-    e_t = np.exp(-blood.mu_t * z)
-    d_of = [ps.derived_of(reg).D for reg in Region]
-    jumps = layered.interface_jumps(sol.radial, d_of,
-                                    weights=np.stack([e_eff, e_t]))
-    # the flat fiber column imposes no flux condition at r_f
-    jumps["r_f"] = jumps["r_f"][:1]
-    worst = max(max(pair) for pair in jumps.values())
+    sol = ctx.sol
+    z = np.linspace(0.0, ctx.ps.geometry.L, 100)
+    mu_eff, mu_t = sol.axial
+    jumps = interface_jumps(sol, weights=np.stack([np.exp(-mu_eff * z),
+                                                   np.exp(-mu_t * z)]))
+    worst = max(v for pair in jumps.values() for v in pair if v is not None)
     return CriterionResult(
         "A4", "interface continuity", worst <= 1e-9,
         "worst rel jump %.2e" % worst, "<= 1e-9 at 100 z pts", 0.0)
@@ -182,7 +176,7 @@ def criterion_a6(ctx):
     """Truncation orders of the discrete operator on the closed forms."""
     ps, sol = ctx.ps, ctx.sol
     geo = ps.geometry
-    blood = derive_optics(ps.blood_optics)
+    mu_eff = sol.axial[0]
     orders = {}
 
     probe = fdoracle.fluence_residual_probe(ps, sol, nr=120, nz=120)
@@ -192,21 +186,21 @@ def criterion_a6(ctx):
     diff_of = {reg: ps.thermal_of(reg).k for reg in Region}
 
     def forced_probe(family):
-        mu = blood.mu_eff if family == "eff" else blood.mu_t
         pick = 0 if family == "eff" else 1
+        mu = sol.axial[pick]
 
         def fld(rr, zz):
             # one radial table per probe grid; rr rows are constant radii
-            prof = sol.profiles(rr[:, 0])[pick]
+            prof = sol.radial.values(rr[:, 0])[pick]
             return prof[:, None] * np.exp(
                 -mu * (zz + ps.protocol.v * ps.protocol.t_end))
 
         react = {}
         for reg in Region:
             if reg is Region.FIBER_COLUMN:
-                lam = blood.mu_t ** 2 if family == "t" else blood.mu_eff ** 2
+                lam = mu ** 2
             elif reg is Region.BLOOD_ANNULUS:
-                lam = blood.mu_eff ** 2
+                lam = mu_eff ** 2
             else:
                 lam = ps.derived_of(reg).mu_eff ** 2
             react[reg] = ps.thermal_of(reg).k * lam

@@ -88,6 +88,25 @@ def test_rate_clamps_below_absolute_zero():
     assert rates[0] == 0.0 and rates[1] > 0.0
 
 
+def test_nan_temperature_raises_and_infinities_keep_their_limits(ps810):
+    th = ps810.blood_thermal
+    times = np.linspace(0.0, 1.0, 5)
+    temps = np.array([60.0, 61.0, np.nan, 63.0, 64.0])
+    for call in (lambda: damage.arrhenius_rate(np.nan, th.A, th.E_a),
+                 lambda: damage.arrhenius_rate(temps, th.A, th.E_a),
+                 lambda: damage.damage_integral(times, temps, th.A, th.E_a),
+                 lambda: damage.cumulative_damage(times, temps, th.A,
+                                                  th.E_a),
+                 lambda: damage.isothermal_crossing_time(np.nan, th.A,
+                                                         th.E_a)):
+        with pytest.raises(DomainError):
+            call()
+    # -inf is below absolute zero (no dose); +inf saturates at the rate A
+    assert damage.arrhenius_rate(-np.inf, th.A, th.E_a) == 0.0
+    assert damage.arrhenius_rate(np.inf, th.A, th.E_a) == th.A
+    assert damage.isothermal_crossing_time(-np.inf, th.A, th.E_a) == math.inf
+
+
 def test_dose_is_additive_and_monotone(ps810):
     th = ps810.blood_thermal
     times = np.linspace(0.0, 10.0, 401)

@@ -190,6 +190,25 @@ def test_separable_solve_matches_sparse_direct(ps810, sol810, domain,
     assert gap <= 1e-12, gap
 
 
+def test_reference_field_is_the_closed_form(ps810, sol810, temp810):
+    # the oracle's reference is sol.eval ahead of the tip and 0 behind it,
+    # in the steady frame (t_end) and at t = 2.5, where most of the grid
+    # lies behind the tip
+    out = fd.solve_steady_fluence(ps810, sol810, nr=30, nz=24)
+    grid = out.grid
+    rr, zz = grid.meshes()
+    v = ps810.protocol.v
+    for t, ref in ((ps810.protocol.t_end, out.phi_ref),
+                   (2.5, fd._analytic_on_grid(sol810, grid, 2.5,
+                                              sol810.radial.values(grid.r)))):
+        ahead = zz + v * t >= 0.0
+        np.testing.assert_array_equal(ref[ahead],
+                                      sol810.eval(rr[ahead], zz[ahead], t))
+        assert np.all(ref[~ahead] == 0.0)
+    assert np.any(~ahead)
+    assert tuple(temp810.axial[:2]) == sol810.axial
+
+
 def test_unknown_options_raise(ps810, sol810):
     with pytest.raises(ValueError):
         fd.solve_steady_fluence(ps810, sol810, nr=24, nz=24, domain="half")
@@ -317,7 +336,7 @@ def _sparse_transient_reference(ps, sol, grid, dt, times, heating,
     rhs_fixed[idx] += rim * proto.T_air
     mu_a = np.array([ps.optics_of(reg).mu_a for reg in Region])[
         fd.region_index(grid.r, geo)]
-    profiles = sol.profiles(grid.r)
+    profiles = sol.radial.values(grid.r)
     temp = np.full(nr * nz, proto.T_b)
     shots = []
     for n in range(1, int(round(max(times) / dt)) + 1):

@@ -279,6 +279,22 @@ def test_transient_outside_column_rejected(ps810):
         eval_fluence_transient(ps810.protocol, opt, 0.35, 1.0, 1e-12)
 
 
+@pytest.mark.parametrize("r, z, t", [
+    (-1.0, 1.0, 1e-12),
+    (np.nan, 1.0, 1e-12),
+    (np.array([0.1, -0.1]), 1.0, 1e-12),
+    (0.1, 1.0, -1e-12),
+    (0.1, np.nan, 1e-12),
+    (0.1, np.inf, 1e-12),
+    (0.1, 1.0, np.nan),
+    (0.1, 1.0, np.inf),
+])
+def test_transient_rejects_points_outside_its_domain(ps810, r, z, t):
+    opt = ps810.optics_of(Region.BLOOD_ANNULUS)
+    with pytest.raises(DomainError):
+        eval_fluence_transient(ps810.protocol, opt, r, z, t)
+
+
 def test_transient_overflows_to_inf(ps810):
     # the linearised balance has no saturation; late times blow up and the
     # implementation is documented to return inf rather than raise
