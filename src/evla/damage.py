@@ -97,7 +97,7 @@ def riemann_bounds(times, temps, A, E_a):
 
 def isothermal_crossing_time(temp_c, A, E_a, threshold=1.0):
     """Time for the dose to reach threshold at constant temperature:
-    (threshold/A) exp[E_a/(R T_K)].
+    (threshold/A) exp[E_a/(R T_K)]; the arguments broadcast.
 
     Returns inf when the closed form overflows (cold enough that the
     answer exceeds the float range) and for temperatures at or below
@@ -105,15 +105,20 @@ def isothermal_crossing_time(temp_c, A, E_a, threshold=1.0):
     floor temperature of a heating trajectory this upper-bounds the true
     crossing time.
     """
-    t_k = temp_c + KELVIN_OFFSET
-    if np.isnan(t_k):
+    t_k, A, E_a, threshold = np.broadcast_arrays(
+        np.asarray(temp_c, dtype=float) + KELVIN_OFFSET,
+        *(np.asarray(x, dtype=float) for x in (A, E_a, threshold)))
+    if np.any(np.isnan(t_k)):
         raise DomainError("NaN temperature")
-    if t_k <= 0.0:
-        return np.inf
-    log_t = E_a / (R_GAS * t_k) + np.log(threshold) - np.log(A)
-    if log_t > 709.0:                     # exp() ceiling for doubles
-        return np.inf
-    return float(np.exp(log_t))
+    ok = t_k > 0.0
+    log_t = np.full(t_k.shape, np.inf)
+    log_t[ok] = (E_a[ok] / (R_GAS * t_k[ok]) + np.log(threshold[ok])
+                 - np.log(A[ok]))
+    # 709: the exp() ceiling for doubles
+    out = np.where(log_t > 709.0, np.inf, np.exp(np.minimum(log_t, 709.0)))
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def crit_time_table(ps: ParameterSet, temps=(50.0, 60.0, 70.0, 80.0, 90.0,
@@ -122,16 +127,14 @@ def crit_time_table(ps: ParameterSet, temps=(50.0, 60.0, 70.0, 80.0, 90.0,
 
     Returns [(temp, {material: t_crit})] over blood/wall/pad/skin.
     """
-    pairs = {}
-    for reg in (Region.FIBER_COLUMN, Region.WALL, Region.PAD, Region.SKIN):
-        th = ps.thermal_of(reg)
-        pairs[MATERIAL_OF[reg]] = (th.A, th.E_a)
-    rows = []
-    for temp in temps:
-        rows.append((temp, {mat: isothermal_crossing_time(temp, A, E_a,
-                                                          threshold)
-                            for mat, (A, E_a) in pairs.items()}))
-    return rows
+    regions = (Region.FIBER_COLUMN, Region.WALL, Region.PAD, Region.SKIN)
+    A, E_a = np.array([[ps.thermal_of(reg).A, ps.thermal_of(reg).E_a]
+                       for reg in regions]).T
+    table = isothermal_crossing_time(np.asarray(temps, dtype=float)[:, None],
+                                     A, E_a, threshold)
+    return [(temp, {MATERIAL_OF[reg]: float(t)
+                    for reg, t in zip(regions, row)})
+            for temp, row in zip(temps, table)]
 
 
 @dataclass(frozen=True)

@@ -286,6 +286,14 @@ def _analytic_on_grid(sol, grid: Grid2D, t, profiles):
     return np.where(zeta[None, :] < 0.0, 0.0, field)
 
 
+def _require_same_params(ps, sol):
+    """Refuse a solution built for other parameters than ps: the FD
+    coefficients would come from one set and the source and the
+    closed-form reference from the other."""
+    if sol is not None and sol.ps != ps:
+        raise ValueError("sol was solved for another parameter set than ps")
+
+
 def solve_steady_fluence(ps: ParameterSet, sol, nr=300, nz=300,
                          domain="annulus", rs_closure="trace",
                          z_closure="trace", scale=1) -> SteadyComparison:
@@ -300,6 +308,7 @@ def solve_steady_fluence(ps: ParameterSet, sol, nr=300, nz=300,
     whole axial extent.
     """
     t0 = time.perf_counter()
+    _require_same_params(ps, sol)
     geo = ps.geometry
     proto = ps.protocol
     rmin = geo.r_f if domain == "annulus" else 0.0
@@ -433,6 +442,7 @@ def fluence_residual_probe(ps: ParameterSet, sol, nr=120,
     """Truncation orders of the steady light-diffusion operator applied to
     the closed-form field at t = t_end (exact solutions show the scheme's
     own O(h^2))."""
+    _require_same_params(ps, sol)
     frame_t = ps.protocol.t_end
 
     def field(rr, zz):
@@ -491,6 +501,7 @@ def solve_transient_temperature(ps: ParameterSet, sol, nr=200, nz=220,
     if heating == "analytic_fluence" and sol is None:
         raise ValueError("heating='analytic_fluence' needs a fluence "
                          "solution")
+    _require_same_params(ps, sol)
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be finite and > 0, got %r" % dt)
     snapshot_times = np.asarray(sorted(snapshot_times), dtype=float)

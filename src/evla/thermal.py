@@ -51,9 +51,15 @@ from .layered import IK, JY, LayerSpec, RadialPiecewise, assemble, stack
 from .params import (OUTER, OUTER_FIRST, ParameterSet, Region,
                      derive_optics, region_index)
 
-# the mode scan's end in u = sqrt(-zeta) [1/sqrt(s)]; with the built-in
-# tables the 20th mode lies near u = 1.26
-_U_MAX = 3.0
+# cells per tissue zone of the coarser seed grid; the finer has twice as
+# many
+_SEED_CELLS = 256
+# the first and the widest half-width of the window around each seed,
+# relative to the seed; the roots of the built-in tables lie at least
+# 4.9e-2 apart relative (4.8e-2 over 60 draws from the plan workload's
+# ranges), so windows of +-1% do not overlap
+_WINDOW_FIRST = 4e-6
+_WINDOW_LAST = 1e-2
 # Simpson intervals per tissue zone in the projection quadrature
 _N_PER_REGION = 512
 
@@ -63,7 +69,9 @@ class ThermalError(RuntimeError):
 
 
 class BracketExhausted(ThermalError):
-    """The eigenvalue scan ran out of interval before finding all modes."""
+    """The mode search failed to bracket, or to prove, every mode: a
+    seed's widest window held no root, or a mode has the wrong number of
+    sign changes."""
 
 
 class RankDeficient(ThermalError):
@@ -210,90 +218,164 @@ def _dets(ps, u):
     return assemble(_mode_spec(ps, u)).det()
 
 
-def _refine_roots(f, a, b, fa, fb):
-    """Roots of f in the brackets [a, b] (f(a) f(b) < 0), refined together
-    by the Illinois variant of regula falsi.
+def _seed_roots(ps, n_modes):
+    """Seeds of the first n_modes roots u from a discrete Sturm-Liouville
+    problem (Pryce, *Numerical Solution of Sturm-Liouville Problems*,
+    1993).
 
-    f maps a 1-D array of points to their values; each step evaluates it
-    once on every unfinished bracket.  A bracket is done once it is
-    narrower than 1e-14 (1 + |b|) (brentq's stopping test, with xtol and
-    rtol 1e-14) or f(b) is exactly zero; a degenerate bracket a == b with
-    fb == 0 is returned as it is.  At that width u sits within about
-    1e-14 of the root, so zeta does not depend on the path the iteration
-    took.
+    The relaxation problem -(r k R')' + c_b omega r R = u^2 rho c_p r R on
+    [r_i, r_s], with R(r_i) = 0 and r k R' + r h R = 0 at r_s, is
+    discretised by lumped P1 elements on _SEED_CELLS and on 2 _SEED_CELLS
+    uniform cells per zone.  Their eigenvalues err by O(cells^-2), and the
+    Richardson value (4 lam_2N - lam_N) / 3 cancels that term (Paine,
+    de Hoog & Anderssen, *Computing* 26, 1981): on the built-in tables and
+    the plan workload's ranges the seeds lie within 2.4e-7 of the roots.
+    """
+    # imported here: only the mode search needs scipy, whose import costs
+    # a CLI process about 0.3 s
+    from scipy.linalg import eigh_tridiagonal
+
+    if n_modes > len(OUTER) * _SEED_CELLS:
+        raise BracketExhausted("%d modes asked for; the seed grid has %d "
+                               "unknowns" % (n_modes,
+                                             len(OUTER) * _SEED_CELLS))
+    geo = ps.geometry
+    edges = geo.edges[OUTER_FIRST:]
+    c_b = ps.blood_thermal.c_p
+    lam = []
+    for cells in (_SEED_CELLS, 2 * _SEED_CELLS):
+        # per cell: the conductance k r / h, and the heat capacity and the
+        # perfusion sink of half the cell, lumped on each end node
+        per_cell = []
+        for reg, lo, hi in zip(OUTER, edges, edges[1:]):
+            th = ps.thermal_of(reg)
+            h = (hi - lo) / cells
+            r = lo + h * (np.arange(cells) + 0.5)          # cell midpoints
+            per_cell.append([th.k * r / h, 0.5 * th.rho_cp * r * h,
+                             0.5 * c_b * th.omega * r * h])
+        stiff, mass, sink = np.concatenate(per_cell, axis=1)
+        # the node at r_i is held at zero; the one at r_s carries the
+        # Robin term r_s h
+        diag = stiff + sink + np.append(stiff[1:] + sink[1:],
+                                        geo.r_s * ps.protocol.h_air)
+        s = 1.0 / np.sqrt(mass + np.append(mass[1:], 0.0))
+        lam.append(eigh_tridiagonal(
+            diag * s * s, -stiff[1:] * s[:-1] * s[1:], eigvals_only=True,
+            select="i", select_range=(0, n_modes - 1)))
+    return np.sqrt((4.0 * lam[1] - lam[0]) / 3.0)
+
+
+def _bracket(ps, seeds):
+    """(a, b, f(a), f(b)): one sign change of the determinant f around
+    each seed, a == b where f is exactly zero there.
+
+    Every window starts at seed (1 +- _WINDOW_FIRST) and widens tenfold
+    while it holds no sign change, up to seed (1 +- _WINDOW_LAST); one
+    stacked determinant per round evaluates the ends of every open window.
+    A window is split where it straddles a basis switch, where a region's
+    radial character flips between oscillatory and evanescent and the
+    determinant jumps.
+    """
+    c_b = ps.blood_thermal.c_p
+    # chi = 0 when rho_cp u^2 = c_b omega
+    switches = sorted(math.sqrt(c_b * th.omega / th.rho_cp)
+                      for th in map(ps.thermal_of, OUTER))
+    found = [None] * len(seeds)
+    rel = _WINDOW_FIRST
+    while True:
+        pieces = []                                  # (mode, lo, hi)
+        for i, seed in enumerate(seeds):
+            if found[i] is not None:
+                continue
+            lo, hi = seed * (1.0 - rel), seed * (1.0 + rel)
+            ends = [lo]
+            for s in switches:
+                if lo < s < hi:
+                    ends += [s - 1e-6, s + 1e-6]
+            ends.append(hi)
+            pieces += [(i, x, y) for x, y in zip(ends[::2], ends[1::2])
+                       if x < y]
+        # a narrow window can lie wholly inside the gap around a switch
+        if pieces:
+            mode, lo, hi = np.array(pieces).T
+            f = _dets(ps, np.concatenate([lo, hi]))
+            for i, x, y, fx, fy in zip(mode.astype(int), lo, hi,
+                                       f[:lo.size], f[lo.size:]):
+                if found[i] is not None or fx * fy > 0.0:
+                    continue
+                if fx == 0.0 or fy == 0.0:
+                    x = y = x if fx == 0.0 else y
+                found[i] = (x, y, fx, fy)
+        missing = [i for i, b in enumerate(found) if b is None]
+        if not missing:
+            return np.array(found).T
+        if rel >= _WINDOW_LAST:
+            raise BracketExhausted(
+                "no sign change of the determinant within %g of the seeds "
+                "of modes %s" % (_WINDOW_LAST, missing))
+        rel = min(10.0 * rel, _WINDOW_LAST)
+
+
+def _refine(ps, a, b, fa, fb):
+    """Roots of the determinant f in the brackets [a, b] (f(a) f(b) <= 0),
+    refined together.
+
+    Each step evaluates, in one stacked determinant over every unfinished
+    bracket, the regula-falsi point c, c +- eta with
+    eta = max(1e-4 (b - a), tol / 4) and the midpoint, and keeps the
+    sub-interval that changes sign.  Near a simple root c errs by far less
+    than eta, so both ends move and a bracket narrows about 1e4-fold per
+    step; where the determinant bends too much for that (near a basis
+    switch, or at the rounding floor) the midpoint still halves it.  A
+    bracket is done once narrower than tol = 1e-14 (1 + |b|) (brentq's
+    stopping test, with xtol and rtol 1e-14) or once f is exactly zero at
+    an end; u then sits within about 1e-14 of the root, so zeta does not
+    depend on the path the iteration took.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     for _ in range(100):
-        live = np.nonzero((np.abs(b - a) >= 1e-14 * (1.0 + np.abs(b)))
-                          & (fb != 0.0))[0]
+        tol = 1e-14 * (1.0 + np.abs(b))
+        live = np.nonzero(b - a >= tol)[0]
         if live.size == 0:
             return b
         al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
         c = bl - fbl * (bl - al) / (fbl - fal)
-        fc = f(c)
-        # root between b and c: b becomes the far end; otherwise keep a
-        # and halve its value so the far end moves too (Illinois)
-        swap = fc * fbl < 0.0
-        a[live] = np.where(swap, bl, al)
-        fa[live] = np.where(swap, fbl, 0.5 * fal)
-        b[live], fb[live] = c, fc
+        eta = np.maximum(1e-4 * (bl - al), tol[live] / 4.0)
+        inner = np.sort(np.clip([c - eta, c, c + eta, 0.5 * (al + bl)],
+                                al, bl), axis=0)
+        x = np.vstack([al, inner, bl])
+        fx = np.vstack([fal, _dets(ps, inner.ravel()).reshape(4, -1), fbl])
+        # the first of the five sub-intervals that changes sign
+        k = np.argmax(fx[:-1] * fx[1:] <= 0.0, axis=0)
+        cols = np.arange(live.size)
+        a[live], b[live] = x[k, cols], x[k + 1, cols]
+        fa[live], fb[live] = fx[k, cols], fx[k + 1, cols]
+        # an exact zero closes its bracket
+        a = np.where(fb == 0.0, b, a)
+        b = np.where(fa == 0.0, a, b)
     raise ThermalError("eigenvalue refinement did not converge in 100 "
                        "steps")
 
 
-def modal_eigenvalues(ps: ParameterSet, n_modes=20, du=0.002) -> list:
+def modal_eigenvalues(ps: ParameterSet, n_modes=20) -> list:
     """First n_modes radial relaxation modes, slowest first.
 
-    The scaled determinant of the interface system is scanned on a grid
-    of step du in u = sqrt(-zeta), one stacked determinant per scan
-    segment.  Segments split where a region's radial character flips
-    between oscillatory and evanescent (the basis switch makes the
-    determinant discontinuous there) and the scan stops after the
-    segment that completes n_modes sign changes.  The first n_modes
-    brackets are refined together (_refine_roots) and the modes built
-    together (_build_modes).
+    Every root u = sqrt(-zeta) of the scaled interface determinant is
+    seeded by a discrete Sturm-Liouville problem (_seed_roots), bracketed
+    in a narrow window around its seed (_bracket), and the brackets are
+    refined together (_refine); with the built-in tables the search makes
+    five stacked determinant calls.  The modes are then built together and
+    checked (_build_modes).
 
-    Raises BracketExhausted when fewer than n_modes sign changes lie
-    below u = _U_MAX, or when mode n (0-based) does not change sign
-    exactly n times on (r_i, r_s]: by Sturm oscillation the scan then
-    skipped a root, and du is too coarse.
+    Raises BracketExhausted when a seed's widest window holds no sign
+    change, or when mode n (0-based) does not change sign exactly n times
+    on (r_i, r_s]: by Sturm oscillation a root was then missed or found
+    twice.
     """
     if n_modes <= 0:
         return []
-    c_b = ps.blood_thermal.c_p
-    switches = []
-    for reg in OUTER:
-        th = ps.thermal_of(reg)
-        # chi = 0 when rho_cp u^2 = c_b omega
-        switches.append(math.sqrt(c_b * th.omega / th.rho_cp))
-    pts = sorted(s for s in switches if 0.0 < s < _U_MAX)
-    segments = []
-    lo = 0.005
-    margin = 1e-6
-    for s in pts + [_U_MAX]:
-        hi = min(s - margin, _U_MAX)
-        if hi > lo:
-            segments.append((lo, hi))
-        lo = s + margin
-    brackets = []        # (a, b, f(a), f(b)); a == b for an exact zero
-    for (a, b) in segments:
-        n = max(8, int(round((b - a) / du)))
-        us = np.linspace(a, b, n + 1)
-        ds = _dets(ps, us)
-        for i in np.nonzero((ds[:-1] == 0.0) | (ds[:-1] * ds[1:] < 0.0))[0]:
-            if ds[i] == 0.0:
-                brackets.append((us[i], us[i], 0.0, 0.0))
-            else:
-                brackets.append((us[i], us[i + 1], ds[i], ds[i + 1]))
-        if len(brackets) >= n_modes:
-            break
-    if len(brackets) < n_modes:
-        raise BracketExhausted(
-            "found %d of %d modes by u = %.3f, the end of the scan"
-            % (len(brackets), n_modes, _U_MAX))
-    a, b, fa, fb = np.array(brackets[:n_modes]).T
-    roots = _refine_roots(lambda uu: _dets(ps, uu), a, b, fa, fb)
-    return _build_modes(ps, roots)
+    a, b, fa, fb = _bracket(ps, _seed_roots(ps, n_modes))
+    return _build_modes(ps, _refine(ps, a, b, fa, fb))
 
 
 def _sign_changes(vals):
@@ -319,7 +401,7 @@ def _build_modes(ps, u):
         if found != n:
             raise BracketExhausted(
                 "mode %d changes sign %d times on (r_i, r_s], expected %d: "
-                "the scan skipped a root; refine du" % (n, found, n))
+                "a root was missed or found twice" % (n, found, n))
     fac = np.where(slope > 0, 1.0, -1.0) / np.max(np.abs(vals), axis=1)
     prof = replace(prof, a=prof.a * fac, b=prof.b * fac)
     return [RadialMode(zeta=float(-uu * uu), profile=prof.rows([i]))

@@ -5,9 +5,15 @@ Python floats, fixed high term counts, no vectorisation, no regime
 switching.  Valid for small-to-moderate arguments only (|x| <~ 12 for the
 oscillatory functions before cancellation bites); the tests use them in
 that range and fall back to quad-based cross-checks elsewhere.
+
+scan_roots is the reference mode search: a fixed-step scan of a
+determinant and one brentq solve per sign change.
 """
 
 import math
+
+import numpy as np
+from scipy.optimize import brentq
 
 GAMMA = 0.57721566490153286060651209008240243104215933593992
 
@@ -142,3 +148,33 @@ def simpson(f, a, b, n):
     for i in range(1, n):
         s += f(a + i * h) * (4.0 if i % 2 else 2.0)
     return s * h / 3.0
+
+
+def scan_roots(dets, switches, n_roots):
+    """The first n_roots roots in u of dets, slowest first.
+
+    dets maps a 1-D array of u to determinant values.  The scan runs from
+    u = 0.005 to 3 in steps of about 0.002, in segments that stop 1e-6
+    short of each switch (where the determinant jumps); every sign change
+    is then solved by scipy's brentq on scalar calls, xtol and rtol 1e-14.
+    """
+    cuts = sorted(s for s in switches if 0.0 < s < 3.0) + [3.0]
+    brackets = []
+    lo = 0.005
+    for s in cuts:
+        hi = s - 1e-6
+        if hi > lo:
+            us = np.linspace(lo, hi, max(8, int(round((hi - lo) / 0.002)))
+                             + 1)
+            ds = dets(us)
+            brackets += [(us[i], us[i + 1]) for i in range(len(us) - 1)
+                         if ds[i] * ds[i + 1] < 0.0]
+        lo = s + 1e-6
+        if len(brackets) >= n_roots:
+            break
+    if len(brackets) < n_roots:
+        raise ValueError("found %d of %d roots by u = 3" % (len(brackets),
+                                                            n_roots))
+    return [brentq(lambda u: float(dets(np.array([u]))[0]), a, b,
+                   xtol=1e-14, rtol=1e-14)
+            for a, b in brackets[:n_roots]]

@@ -72,6 +72,24 @@ def test_isothermal_overflow_and_floor(ps810):
     assert half == pytest.approx(0.5 * a, rel=1e-12)
 
 
+def test_isothermal_crossing_time_broadcasts(ps810):
+    # elementwise equal to the scalar calls, overflow and floor included;
+    # temperatures down a column, the four materials along a row
+    temps = np.array([50.0, 60.0, -250.0, -300.0, np.inf, -np.inf])
+    th = [ps810.thermal_of(reg) for reg in _MAT_REGION]
+    A, E_a = np.array([c.A for c in th]), np.array([c.E_a for c in th])
+    got = damage.isothermal_crossing_time(temps[:, None], A, E_a,
+                                          threshold=0.5)
+    assert got.shape == (temps.size, len(th))
+    want = [[damage.isothermal_crossing_time(t, a, e, threshold=0.5)
+             for a, e in zip(A, E_a)] for t in temps]
+    np.testing.assert_array_equal(got, want)
+    assert np.isinf(got[2:4]).all() and np.isinf(got[5]).all()
+    with pytest.raises(DomainError):
+        damage.isothermal_crossing_time(np.array([50.0, np.nan]), A[0],
+                                        E_a[0])
+
+
 def test_body_temperature_is_harmless(ps810):
     times = np.linspace(0.0, 10.0, 101)
     for reg in _MAT_REGION:

@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spl
 import evla
 from evla import fdoracle as fd
 from evla.fluence import assemble_and_solve
-from evla.params import Region, default_params, derive_optics
+from evla.params import Region, default_params, derive_optics, preset_params
 
 
 def test_import_leaves_scipy_sparse_unloaded():
@@ -354,17 +354,18 @@ def _sparse_transient_reference(ps, sol, grid, dt, times, heating,
 @pytest.mark.parametrize("dt", [0.25, 0.5])
 @pytest.mark.parametrize("h_air", [1e-4, 1e-3])
 @pytest.mark.parametrize("heating", ["analytic_fluence", "none"])
-def test_separable_transient_matches_sparse_lu(sol810, heating, h_air, dt):
+def test_separable_transient_matches_sparse_lu(heating, h_air, dt):
     # h_air at and above 10x the default, so that the rim moves the field
     # enough for the perturbed check below to resolve
     ps = default_params(810, 15.0, h_air=h_air)
+    sol = assemble_and_solve(ps)
     times = (1.0, 4.0, 8.0)
-    out = fd.solve_transient_temperature(ps, sol810, nr=30, nz=24, dt=dt,
+    out = fd.solve_transient_temperature(ps, sol, nr=30, nz=24, dt=dt,
                                          snapshot_times=times,
                                          heating=heating)
 
     def gaps(rim_scale):
-        want = _sparse_transient_reference(ps, sol810, out.grid, dt, times,
+        want = _sparse_transient_reference(ps, sol, out.grid, dt, times,
                                            heating, rim_scale)
         return [np.linalg.norm(a - b) / np.linalg.norm(b)
                 for a, b in zip(out.snapshots, want)]
@@ -393,3 +394,18 @@ def test_transient_rejects_bad_inputs(ps810, sol810, change, match):
     args.update(change)
     with pytest.raises(ValueError, match=match):
         fd.solve_transient_temperature(ps810, **args)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda ps, sol: fd.solve_steady_fluence(ps, sol, nr=24, nz=24),
+    lambda ps, sol: fd.fluence_residual_probe(ps, sol, nr=24, nz=24),
+    lambda ps, sol: fd.solve_transient_temperature(
+        ps, sol, nr=24, nz=20, dt=0.5, snapshot_times=(1.0,)),
+], ids=["steady", "probe", "transient"])
+def test_solution_of_another_parameter_set_is_refused(sol810, solve):
+    # 980 nm coefficients against an 810 nm source and reference; also a
+    # set that differs from sol's only in h_air, which the fluence ignores
+    for ps in (preset_params("980-15w"),
+               default_params(810, 15.0, h_air=2e-5)):
+        with pytest.raises(ValueError, match="another parameter set"):
+            solve(ps, sol810)

@@ -23,6 +23,7 @@ from evla.params import Region
 from evla.thermal import (BracketExhausted, build_temperature,
                           forcing_rates, growth_bracket, modal_eigenvalues,
                           project_initial, steady_robin_offset)
+from oracles import scan_roots
 
 # the 20 decay rates of the default tissue stack [1/s], recorded from the
 # scalar determinant scan with brentq refinement; the tissue thermal data do
@@ -178,10 +179,94 @@ def test_mode_set_is_complete(all_presets):
 
 
 def test_skipped_root_is_detected(ps810):
-    # a step of 0.08 steps over the two slowest roots, which share one
-    # scan interval: enough brackets remain, but mode 0 has two zeros
+    # the roots without the slowest one: every mode has one zero too many
+    u = np.sqrt(-np.array(ZETA_DEFAULT_STACK[1:]))
     with pytest.raises(BracketExhausted, match="changes sign"):
-        modal_eigenvalues(ps810, n_modes=20, du=0.08)
+        thermal._build_modes(ps810, u)
+
+
+@pytest.mark.parametrize("mode, shift, recovered", [
+    (7, 0.01, True), (7, -0.01, True), (0, 0.5, False), (7, -0.5, False),
+    (7, 0.5, False), (19, -0.5, False), (7, 1.0, False)])
+def test_misplaced_seed_is_recovered_or_refused(ps810, monkeypatch, mode,
+                                                shift, recovered):
+    # one seed moved by a fraction of the gap to its neighbour on that
+    # side: by 1% its window widens until it holds the root again; by half
+    # a gap its widest window holds no root, and by a whole gap it holds
+    # the neighbour's root, which the Sturm check refuses
+    u_ref = np.sqrt(-np.array(ZETA_DEFAULT_STACK))
+    near = mode + (1 if shift > 0 else -1)
+    seed_roots = thermal._seed_roots
+
+    def moved(ps, n_modes):
+        u = seed_roots(ps, n_modes)
+        u[mode] += abs(shift) * (u_ref[near] - u_ref[mode])
+        return u
+
+    monkeypatch.setattr(thermal, "_seed_roots", moved)
+    if not recovered:
+        with pytest.raises(BracketExhausted):
+            modal_eigenvalues(ps810, n_modes=20)
+        return
+    np.testing.assert_allclose(
+        [m.zeta for m in modal_eigenvalues(ps810, n_modes=20)],
+        ZETA_DEFAULT_STACK, rtol=1e-12, atol=0.0)
+
+
+def test_more_modes_than_the_seed_grid_holds(ps810):
+    with pytest.raises(BracketExhausted, match="unknowns"):
+        modal_eigenvalues(ps810, n_modes=10 ** 4)
+
+
+def test_window_at_a_basis_switch_is_split(ps810):
+    # a seed 1e-8 above the lowest switch, where no root lies: the first
+    # windows fit inside the 1e-6 gap left at the switch, the wider ones are
+    # split there, and none changes sign
+    c_b = ps810.blood_thermal.c_p
+    switch = min(math.sqrt(c_b * th.omega / th.rho_cp)
+                 for th in map(ps810.thermal_of, thermal.OUTER))
+    with pytest.raises(BracketExhausted, match="no sign change"):
+        thermal._bracket(ps810, np.array([switch + 1e-8]))
+
+
+def _plan_like(rng, wavelength):
+    """A parameter set drawn from the plan workload's ranges: power 8-16 W,
+    v 0.75-1.25, h_air x0.8-1.25, tissue k and omega +-15%."""
+    ps = params.default_params(
+        wavelength, rng.uniform(8.0, 16.0), v=rng.uniform(0.75, 1.25),
+        h_air=params.Protocol().h_air * rng.uniform(0.8, 1.25))
+    tissue = {reg: replace(ps.thermal_of(reg),
+                           k=ps.thermal_of(reg).k * rng.uniform(0.85, 1.15),
+                           omega=(ps.thermal_of(reg).omega
+                                  * rng.uniform(0.85, 1.15)))
+              for reg in thermal.OUTER}
+    return replace(ps, thermal={**ps.thermal, **tissue})
+
+
+@pytest.mark.parametrize("draw", range(6))
+def test_search_matches_reference_scan(monkeypatch, draw):
+    rng = np.random.default_rng(1100 + draw)
+    ps = _plan_like(rng, params.WAVELENGTHS[draw % len(params.WAVELENGTHS)])
+    dets = thermal._dets
+    switches = [math.sqrt(ps.blood_thermal.c_p * th.omega / th.rho_cp)
+                for th in map(ps.thermal_of, thermal.OUTER)]
+    want = -np.array(scan_roots(lambda u: dets(ps, u), switches, 20)) ** 2
+    calls = []
+    monkeypatch.setattr(thermal, "_dets",
+                        lambda ps_, u: calls.append(u.size) or dets(ps_, u))
+    got = [m.zeta for m in modal_eigenvalues(ps, n_modes=20)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert len(calls) <= 8, calls
+
+
+def test_modes_do_not_depend_on_wavelength_or_power(modes810):
+    # the relaxation problem reads only the tissue thermal table, the
+    # geometry and h_air
+    want = [m.zeta for m in modes810]
+    for wavelength in params.WAVELENGTHS:
+        for power in (8.0, 16.0):
+            ps = params.default_params(wavelength, power)
+            assert [m.zeta for m in modal_eigenvalues(ps)] == want
 
 
 def test_mode_interface_conditions(ps810, modes810):
