@@ -19,7 +19,8 @@ from .params import (KELVIN_OFFSET, MATERIAL_OF, R_GAS, ParameterSet, Region,
                      region_index)
 
 # history samples per temperature evaluation in damage_map: bounds the
-# (r, z, t) temporaries of eval (tens of bytes per sample) on large maps
+# (r, z, t) temporaries of eval_rows (tens of bytes per sample) on large
+# maps
 _EVAL_POINTS = 1 << 17
 
 
@@ -37,9 +38,8 @@ def arrhenius_rate(temp_c, A, E_a):
     if np.any(np.isnan(t_k)):
         raise DomainError("NaN temperature")
     ok = t_k > 0.0
-    out = np.zeros(t_k.shape)
-    if np.any(ok):
-        out[ok] = A[ok] * np.exp(-E_a[ok] / (R_GAS * t_k[ok]))
+    out = np.where(ok, A * np.exp(-E_a / (R_GAS * np.where(ok, t_k, 1.0))),
+                   0.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -172,7 +172,8 @@ def damage_map(tsol, r_pts, z_pts, threshold=1.0, n_t=401) -> DamageMap:
     (their rate there is negligible but still booked); once z >= -v t the
     temperature construction takes over, sampled at n_t times from the
     arrival t0(z) to t_end.  The z columns the tip reaches before t_end
-    are evaluated together, by one tsol.eval over (r, z, t) per block of
+    are evaluated together: the radial table once per map
+    (tsol.radial_rows), then one tsol.eval_rows over (r, z, t) per block of
     at most _EVAL_POINTS samples; a column reached only at t_end keeps the
     dose booked at blood temperature.  The crossing time
     interpolates the running trapezoid dose linearly between samples, so
@@ -200,11 +201,12 @@ def damage_map(tsol, r_pts, z_pts, threshold=1.0, n_t=401) -> DamageMap:
     t_cross = np.where(omega >= threshold, proto.t_end, np.inf)
     live = np.nonzero(t0 < proto.t_end)[0]
     per_eval = max(1, _EVAL_POINTS // max(1, r_pts.size * n_t))
+    rows = tsol.radial_rows(r_pts)
     for start in range(0, live.size, per_eval):
         cols = live[start:start + per_eval]
         hist_t = np.linspace(t0[cols], proto.t_end, n_t, axis=-1)
-        temps = tsol.eval(r_pts[:, None, None], z_pts[cols][None, :, None],
-                          hist_t)
+        temps = tsol.eval_rows(rows, r_pts[:, None, None],
+                               z_pts[cols][None, :, None], hist_t)
         cum = omega[:, cols, None] + cumulative_damage(
             hist_t, temps, A[..., None], E_a[..., None])
         omega[:, cols] = cum[..., -1]

@@ -37,6 +37,11 @@ _FUNCS = {
     IK: (("i0", "k0"), ("i1", "k1"), (1.0, -1.0)),
 }
 
+# (row, radius) pairs per basis evaluation in RadialPiecewise._eval; a
+# larger table is evaluated in slices, which bounds its gathered
+# temporaries and the kernel's
+_SLICE = 1 << 12
+
 
 class SolverError(RuntimeError):
     """Linear-system assembly or post-solve residual failure."""
@@ -51,34 +56,47 @@ class SingularSystem(SolverError):
 
 
 def basis(kind, q, r, deriv=False):
-    """(f, g, c) with (c f, c g) the basis of every row at the radii r, or
-    its r-derivative.
+    """(f, g, c) with (c f, c g) the basis of kind at wavenumber q and
+    radius r, or its r-derivative.
 
-    kind and q are 1-D arrays, one basis kind and wavenumber per row; r is
-    1-D.  f and g are (len(kind), len(r)); c is (len(kind), 1): 1 for
-    values, s_f q for derivatives (g then carries the sign s_f s_g).  A
-    combination's derivative is c (a f + b g), the factor applied once.
-    Each function is evaluated by one specfn call per kind present.
+    kind, q and r broadcast against each other, and f and g take their
+    shape; c is the scalar 1 for values, s_f q of that shape for
+    derivatives (g then carries the sign s_f s_g).  A combination's
+    derivative is c (a f + b g), the factor applied once.  Each function
+    is evaluated by one specfn call per kind present, on the arguments q r
+    of that kind gathered over the whole broadcast shape: every zone,
+    edge and row at once.
     """
-    q = np.asarray(q, dtype=float)[:, None]
-    x = q * np.asarray(r, dtype=float)[None, :]
-    f = np.zeros_like(x)
-    g = np.zeros_like(x)
-    c = np.ones_like(q)
+    kind, q, r = np.broadcast_arrays(kind, np.asarray(q, dtype=float),
+                                     np.asarray(r, dtype=float))
+    x = q * r
+    f = np.zeros(x.shape)
+    g = np.zeros(x.shape)
+    c = np.ones(x.shape) if deriv else 1.0
     if not deriv:
         f[kind == FLAT] = 1.0
     for k, (values, derivs, (s_f, s_g)) in _FUNCS.items():
-        rows = kind == k
-        if not np.any(rows):
+        pick = kind == k
+        if not np.any(pick):
             continue
+        xs = x[pick]
         fn_f, fn_g = (getattr(specfn, name)
                       for name in (derivs if deriv else values))
-        f[rows] = fn_f(x[rows])
-        g[rows] = fn_g(x[rows])
+        f[pick] = fn_f(xs)
+        g[pick] = fn_g(xs)
         if deriv:
-            g[rows] *= s_f * s_g
-            c[rows] = s_f * q[rows]
+            g[pick] *= s_f * s_g
+            c[pick] = s_f * q[pick]
     return f, g, c
+
+
+def _edge_basis(geo, first, kind, q, deriv):
+    """basis of every zone j >= first (axis 0) and batch column (axis 1)
+    of kind and q, (zones, batch), at the zone's inner and outer edge
+    (axis 2)."""
+    edges = np.asarray(geo.edges[first:])
+    r = np.stack([edges[:-1], edges[1:]], axis=-1)[:, None, :]
+    return basis(kind[..., None], q[..., None], r, deriv)
 
 
 @dataclass(frozen=True)
@@ -99,37 +117,55 @@ class RadialPiecewise:
     a: np.ndarray
     b: np.ndarray
 
-    def _zone(self, j, r, deriv=False):
-        f, g, c = basis(self.kind[j], self.q[j], r, deriv)
-        return c * (self.a[j][:, None] * f + self.b[j][:, None] * g)
+    def _eval(self, zone, r, deriv):
+        """Row i of zone zone[p] (counted from first, broadcast against r)
+        at the radius r[p], for every row i: (batch, *r.shape); zero where
+        zone < 0, inward of first.
+
+        The (row, radius) pairs of every zone are gathered into one basis
+        evaluation, in slices of at most _SLICE pairs, which bounds the
+        temporaries of large tables."""
+        r = np.asarray(r, dtype=float)
+        flat = r.ravel()
+        zone = np.broadcast_to(zone, r.shape).ravel()
+        batch = self.a.shape[1]
+        # row 0: a flat zero zone, read by every radius inward of first
+        padded = [np.concatenate([np.zeros((1, batch), arr.dtype), arr])
+                  for arr in (self.kind, self.q, self.a, self.b)]
+        out = np.empty((batch, flat.size))
+        step = max(1, _SLICE // batch)
+        for start in range(0, flat.size, step):
+            cut = slice(start, start + step)
+            j = np.maximum(zone[cut], -1) + 1
+            kind, q, a, b = (arr[j].T for arr in padded)
+            f, g, c = basis(kind, q, flat[cut], deriv)
+            # c (a f + b g), in place
+            f *= a
+            g *= b
+            f += g
+            f *= c
+            out[:, cut] = f
+        return out.reshape(out.shape[:1] + r.shape)
 
     def at(self, region: Region, r, deriv=False):
         """The combination of one region (or its r-derivative) at radii r,
         wherever they lie: (batch, *r.shape)."""
-        r = np.asarray(r, dtype=float)
-        out = self._zone(tuple(Region).index(region) - self.first,
-                         r.ravel(), deriv)
-        return out.reshape(out.shape[:1] + r.shape)
-
-    def _eval(self, r, deriv):
-        r = np.asarray(r, dtype=float)
-        flat = r.ravel()
-        zone = region_index(flat, self.geo) - self.first
-        out = np.zeros((self.a.shape[1], flat.size))
-        for j in range(self.a.shape[0]):
-            cols = zone == j
-            if np.any(cols):
-                out[:, cols] = self._zone(j, flat[cols], deriv)
-        return out.reshape(out.shape[:1] + r.shape)
+        return self._eval(tuple(Region).index(region) - self.first, r, deriv)
 
     def values(self, r):
         """Every row at the radii r, each in its own zone:
         (batch, *r.shape)."""
-        return self._eval(r, False)
+        return self._eval(region_index(r, self.geo) - self.first, r, False)
 
     def derivs(self, r):
         """r-derivatives of every row at the radii r: (batch, *r.shape)."""
-        return self._eval(r, True)
+        return self._eval(region_index(r, self.geo) - self.first, r, True)
+
+    def at_edges(self, deriv=False):
+        """Every row of every zone at the zone's inner and outer edge (or
+        the r-derivatives there): (zones, batch, 2)."""
+        f, g, c = _edge_basis(self.geo, self.first, self.kind, self.q, deriv)
+        return c * (self.a[..., None] * f + self.b[..., None] * g)
 
     def rows(self, pick):
         """The profiles of the batch rows pick (a slice or index array)."""
@@ -220,15 +256,12 @@ class InterfaceSystem:
 def assemble(spec: LayerSpec) -> InterfaceSystem:
     """Build the column-scaled matching system of every batch column."""
     zones, batch = spec.kind.shape
-    radii = spec.geo.edges[spec.first:]
     n = 2 * zones
     # val[j] / flux[j]: (batch, 2 edges, 2 functions) of zone j
-    val, flux = [], []
-    for j in range(zones):
-        for side, deriv, cond in ((val, False, 1.0),
-                                  (flux, True, spec.cond[j])):
-            f, g, c = basis(spec.kind[j], spec.q[j], radii[j:j + 2], deriv)
-            side.append(cond * np.stack([c * f, c * g], -1))
+    val, flux = (np.stack([c * f, c * g], -1) for f, g, c in (
+        _edge_basis(spec.geo, spec.first, spec.kind, spec.q, deriv)
+        for deriv in (False, True)))
+    flux = np.asarray(spec.cond, dtype=float)[:, None, None, None] * flux
     rows, rhs = [], []
 
     def row(zone, entries, value=0.0):
@@ -266,17 +299,16 @@ def interface_jumps(prof: RadialPiecewise, cond, weights=None):
     """
     if weights is None:
         weights = np.ones((prof.a.shape[1], 1))
-    regions = tuple(Region)[prof.first:]
-    out = {}
-    for j, name in enumerate(EDGES[prof.first:]):
-        rb = [prof.geo.edges[prof.first + j + 1]]
-        jumps = []
-        for deriv, floor in ((False, 1e-300), (True, 1e-30)):
-            v_in, v_out = (
-                np.sum(weights * prof.at(regions[k], rb, deriv), axis=0)
-                * (cond[k] if deriv else 1.0) for k in (j, j + 1))
-            scale = np.maximum(np.maximum(np.abs(v_in), np.abs(v_out)),
-                               floor)
-            jumps.append(float(np.max(np.abs(v_in - v_out) / scale)))
-        out[name] = tuple(jumps)
-    return out
+    cond = np.asarray(cond, dtype=float)[:, None, None]
+    jumps = []
+    for deriv, scale, floor in ((False, 1.0, 1e-300), (True, cond, 1e-30)):
+        # the weighted fields of every zone at both its edges:
+        # (zones, 2 edges, fields)
+        field = np.sum(weights[:, None, :] * prof.at_edges(deriv)[..., None],
+                       axis=1) * scale
+        v_in, v_out = field[:-1, 1], field[1:, 0]
+        rel = np.abs(v_in - v_out) / np.maximum(
+            np.maximum(np.abs(v_in), np.abs(v_out)), floor)
+        jumps.append(np.max(rel, axis=-1))
+    return {name: (float(jv), float(jf))
+            for name, jv, jf in zip(EDGES[prof.first:], *jumps)}

@@ -19,15 +19,18 @@ temperature fields.  Three regimes per function:
     of the mid range;
   * Hankel-type asymptotic expansions for large x.
 
-All entry points accept floats or numpy arrays and are vectorised; each
-point's value does not depend on the other points of the call beyond
-rounding.  Accuracy target: relative error ~1e-13 away from zeros of the
-oscillatory functions, absolute error ~1e-15 times the envelope near
-their zeros.
+All entry points accept floats or numpy arrays and are vectorised.  A
+point's value depends on the other points of its call only through the
+series and asymptotic term counts, each set once per call (the series by
+the call's largest argument, the asymptotic sums by its smallest and
+largest), which move it by rounding only.  Accuracy target: relative
+error ~1e-13 away from zeros of the oscillatory functions, absolute
+error ~1e-15 times the envelope near their zeros.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -314,25 +317,47 @@ def _cheb_k(x, nu):
 # large-argument asymptotic expansions
 # ---------------------------------------------------------------------------
 
+def _asym_terms(x, fournu2):
+    """Number of terms a_k / x^k (k >= 1) the asymptotic sums of order
+    nu, 4 nu^2 = fournu2, take at the points x.
+
+    The stop rule is per term: stop before term k once |a_k / x^k| has
+    stopped falling at every point (divergence onset), and after it once
+    |a_k / x^k| <= 1e-18 at every point; at most 23 terms.  |a_k / x^k|
+    falls with x, rounding included (every step is a monotone rounded
+    operation), so the smallest x is the last to converge; the ratio of
+    consecutive terms, |4 nu^2 - (2k - 1)^2| / (8 k x), falls with x too,
+    so the largest x is the last to diverge (barring a ratio within
+    rounding of 1).  The rule therefore runs on those two scalars alone,
+    with the same operations as the sums.
+    """
+    lo, hi = float(np.min(x)), float(np.max(x))
+    a_lo = a_hi = 1.0
+    prev = math.inf
+    for k in range(1, 24):
+        step = fournu2 - (2 * k - 1) ** 2
+        a_lo = a_lo * step / (8.0 * k) / lo
+        a_hi = a_hi * step / (8.0 * k) / hi
+        if abs(a_hi) >= prev:
+            return k - 1
+        prev = abs(a_hi)
+        if abs(a_lo) <= 1e-18:
+            return k
+    return 23
+
+
 def _hankel_pq(x, nu):
     """P and Q sums of the Hankel asymptotic expansion for order nu."""
     fournu2 = 4.0 * nu * nu
     p = np.ones_like(x)
     q = np.zeros_like(x)
     ak = np.ones_like(x)  # a_k / x^k, running
-    prev = np.full_like(x, np.inf)
-    for k in range(1, 24):
+    for k in range(1, _asym_terms(x, fournu2) + 1):
         ak = ak * (fournu2 - (2 * k - 1) ** 2) / (8.0 * k) / x
-        mag = np.abs(ak)
-        if np.all(mag >= prev):
-            break  # divergence onset
         if k % 2 == 1:
             q += ak * (-1.0) ** ((k - 1) // 2)
         else:
             p += ak * (-1.0) ** (k // 2)
-        prev = mag
-        if np.all(mag <= 1e-18):
-            break
     return p, q
 
 
@@ -355,16 +380,9 @@ def _asym_sum(x, nu, alternating):
     fournu2 = 4.0 * nu * nu
     s = np.ones_like(x)
     ak = np.ones_like(x)
-    prev = np.full_like(x, np.inf)
-    for k in range(1, 24):
+    for k in range(1, _asym_terms(x, fournu2) + 1):
         ak = ak * (fournu2 - (2 * k - 1) ** 2) / (8.0 * k) / x
-        mag = np.abs(ak)
-        if np.all(mag >= prev):
-            break
         s += (-1.0) ** k * ak if alternating else ak
-        prev = mag
-        if np.all(mag <= 1e-18):
-            break
     return s
 
 

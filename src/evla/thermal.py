@@ -219,9 +219,9 @@ def _dets(ps, u):
 
 
 def _seed_roots(ps, n_modes):
-    """Seeds of the first n_modes roots u from a discrete Sturm-Liouville
-    problem (Pryce, *Numerical Solution of Sturm-Liouville Problems*,
-    1993).
+    """Seeds of the first n_modes + 1 roots u from a discrete
+    Sturm-Liouville problem (Pryce, *Numerical Solution of Sturm-Liouville
+    Problems*, 1993); the last is the witness of _check_count.
 
     The relaxation problem -(r k R')' + c_b omega r R = u^2 rho c_p r R on
     [r_i, r_s], with R(r_i) = 0 and r k R' + r h R = 0 at r_s, is
@@ -235,7 +235,7 @@ def _seed_roots(ps, n_modes):
     # a CLI process about 0.3 s
     from scipy.linalg import eigh_tridiagonal
 
-    if n_modes > len(OUTER) * _SEED_CELLS:
+    if n_modes >= len(OUTER) * _SEED_CELLS:
         raise BracketExhausted("%d modes asked for; the seed grid has %d "
                                "unknowns" % (n_modes,
                                              len(OUTER) * _SEED_CELLS))
@@ -261,7 +261,7 @@ def _seed_roots(ps, n_modes):
         s = 1.0 / np.sqrt(mass + np.append(mass[1:], 0.0))
         lam.append(eigh_tridiagonal(
             diag * s * s, -stiff[1:] * s[:-1] * s[1:], eigvals_only=True,
-            select="i", select_range=(0, n_modes - 1)))
+            select="i", select_range=(0, n_modes)))
     return np.sqrt((4.0 * lam[1] - lam[0]) / 3.0)
 
 
@@ -357,6 +357,22 @@ def _refine(ps, a, b, fa, fb):
                        "steps")
 
 
+def _check_count(seeds, u):
+    """The second completeness witness of the roots u: the discrete
+    spectrum behind the seeds (one more seed than roots) must hold exactly
+    len(u) eigenvalues below the largest root.  A seed counts when its
+    widest window, seed (1 - _WINDOW_LAST), reaches below that root, which
+    absorbs the seeds' discretisation error; a root list that runs past
+    the next mode then counts one too many, a list that stops short one
+    too few.  Raises BracketExhausted otherwise."""
+    below = int(np.count_nonzero(seeds * (1.0 - _WINDOW_LAST) < np.max(u)))
+    if below != u.size:
+        raise BracketExhausted(
+            "the discrete spectrum has %d eigenvalues below the largest "
+            "root u = %.6f, expected %d: a root was missed or found twice"
+            % (below, np.max(u), u.size))
+
+
 def modal_eigenvalues(ps: ParameterSet, n_modes=20) -> list:
     """First n_modes radial relaxation modes, slowest first.
 
@@ -368,14 +384,18 @@ def modal_eigenvalues(ps: ParameterSet, n_modes=20) -> list:
     checked (_build_modes).
 
     Raises BracketExhausted when a seed's widest window holds no sign
-    change, or when mode n (0-based) does not change sign exactly n times
-    on (r_i, r_s]: by Sturm oscillation a root was then missed or found
-    twice.
+    change, when the discrete spectrum does not hold exactly n_modes
+    eigenvalues below the largest root (_check_count), or when mode n
+    (0-based) does not change sign exactly n times on (r_i, r_s]: by Sturm
+    oscillation a root was then missed or found twice.
     """
     if n_modes <= 0:
         return []
-    a, b, fa, fb = _bracket(ps, _seed_roots(ps, n_modes))
-    return _build_modes(ps, _refine(ps, a, b, fa, fb))
+    seeds = _seed_roots(ps, n_modes)
+    a, b, fa, fb = _bracket(ps, seeds[:-1])
+    u = _refine(ps, a, b, fa, fb)
+    _check_count(seeds, u)
+    return _build_modes(ps, u)
 
 
 def _sign_changes(vals):
@@ -526,22 +546,34 @@ class TemperatureSolution:
                 ("decay", np.array([0.0] + [m.zeta for m in self.modal]))):
             object.__setattr__(self, name, value)
 
-    def eval(self, r, z, t):
-        """Temperature [degC]; arrays broadcast; domain z >= -v t.
+    def radial_rows(self, r):
+        """The first step of eval: (ru, rows), the sorted distinct radii of
+        r and the radial factor of every term there, times the amplitude of
+        the region holding the radius: rows is (terms, len(ru)).
 
-        Each factor is evaluated once per distinct value of its own
-        coordinate, before broadcasting: the radial table on the distinct
-        r, the axial exponentials on the distinct z and the time factors
-        on the distinct t.  The terms are then accumulated one by one.
-        Raises ThermalError where the closed form has diverged to a
-        non-finite value.
+        The rows depend on r alone, so a caller that evaluates the same
+        radii at many (z, t) computes them once (damage_map does, across
+        its blocks).  Non-finite radii and radii outside [0, r_s] raise
+        DomainError.
         """
+        ru = np.unique(np.asarray(r, dtype=float))
+        # z = t = 0 lies in the domain: only the radii are checked
+        self.sol._check_domain(ru, 0.0, 0.0)
+        reg_u = region_index(ru, self.ps.geometry)
+        return ru, self.radial.values(ru) * self.amp[:, reg_u]
+
+    def eval_rows(self, rows, r, z, t):
+        """The second step of eval: the temperature at (r, z, t) from
+        rows = radial_rows(r0), r0 holding every radius of r; arrays
+        broadcast.  A radius of r without a row raises ValueError."""
+        ru, table = rows
         coords = [np.asarray(c, dtype=float) for c in (r, z, t)]
         self.sol._check_domain(*np.broadcast_arrays(*coords))
-        (ru, ir), (zu, iz), (tu, it) = (distinct_values(c) for c in coords)
-        reg_u = region_index(ru, self.ps.geometry)
-        table = self.radial.values(ru) * self.amp[:, reg_u]
-        reg = reg_u[ir]
+        ir = np.searchsorted(ru, coords[0])
+        if not np.all(ru[np.minimum(ir, ru.size - 1)] == coords[0]):
+            raise ValueError("a radius of r is not among the rows' radii")
+        (zu, iz), (tu, it) = (distinct_values(c) for c in coords[1:])
+        reg = region_index(ru, self.ps.geometry)[ir]
         axial = np.exp(-self.axial[:2, None] * zu)
         # forced time factors, (family, region, t): printed rows where d set
         a, b, d = (self.brackets[..., i, None] for i in range(3))
@@ -553,12 +585,15 @@ class TemperatureSolution:
         relax = np.exp(self.decay[:, None] * tu)
         out = self.ps.protocol.T_b + sum(
             table[f][ir] * forced[f][reg, it] * axial[f][iz] for f in (0, 1))
-        # offset and modes: no axial factor (alpha = 0), every term of the
-        # shape of r and t broadcast
-        acc = table[2][ir] * relax[0][it]
-        for row, g in zip(table[3:], relax[1:]):
-            acc += row[ir] * g[it]
-        out += acc
+        # offset and modes: no axial factor (alpha = 0).  Their sum is one
+        # matrix product over the distinct (r, t) pairs, gathered, unless
+        # the pairs outnumber the broadcast (r, t) points (scattered
+        # points); then it is taken term by term
+        if ru.size * tu.size <= np.broadcast(ir, it).size:
+            out += (table[2:].T @ relax)[ir, it]
+        else:
+            for row, g in zip(table[2:], relax):
+                out += row[ir] * g[it]
         bad = np.count_nonzero(~np.isfinite(out))
         if bad:
             raise ThermalError(
@@ -567,6 +602,18 @@ class TemperatureSolution:
         if np.ndim(out) == 0:
             return float(out)
         return out
+
+    def eval(self, r, z, t):
+        """Temperature [degC]; arrays broadcast; domain z >= -v t.
+
+        Each factor is evaluated once per distinct value of its own
+        coordinate, before broadcasting: the radial table on the distinct
+        r (radial_rows), then the axial exponentials on the distinct z and
+        the time factors on the distinct t (eval_rows).  The terms are then
+        accumulated one by one.  Raises ThermalError where the closed form
+        has diverged to a non-finite value.
+        """
+        return self.eval_rows(self.radial_rows(r), r, z, t)
 
 
 def build_temperature(ps: ParameterSet, sol: FluenceSolution = None,

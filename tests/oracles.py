@@ -178,3 +178,46 @@ def scan_roots(dets, switches, n_roots):
     return [brentq(lambda u: float(dets(np.array([u]))[0]), a, b,
                    xtol=1e-14, rtol=1e-14)
             for a, b in brackets[:n_roots]]
+
+
+def ref_hankel_pq(x, nu):
+    """P and Q sums of the Hankel asymptotic expansion for order nu, with
+    the per-term stop rule tested on the whole array: the kernel's loop
+    before its term count was set once per call."""
+    fournu2 = 4.0 * nu * nu
+    p = np.ones_like(x)
+    q = np.zeros_like(x)
+    ak = np.ones_like(x)
+    prev = np.full_like(x, np.inf)
+    for k in range(1, 24):
+        ak = ak * (fournu2 - (2 * k - 1) ** 2) / (8.0 * k) / x
+        mag = np.abs(ak)
+        if np.all(mag >= prev):
+            break
+        if k % 2 == 1:
+            q += ak * (-1.0) ** ((k - 1) // 2)
+        else:
+            p += ak * (-1.0) ** (k // 2)
+        prev = mag
+        if np.all(mag <= 1e-18):
+            break
+    return p, q
+
+
+def ref_asym_sum(x, nu, alternating):
+    """The I (alternating) or K asymptotic sum of order nu, with the same
+    per-term stop rule as ref_hankel_pq."""
+    fournu2 = 4.0 * nu * nu
+    s = np.ones_like(x)
+    ak = np.ones_like(x)
+    prev = np.full_like(x, np.inf)
+    for k in range(1, 24):
+        ak = ak * (fournu2 - (2 * k - 1) ** 2) / (8.0 * k) / x
+        mag = np.abs(ak)
+        if np.all(mag >= prev):
+            break
+        s += (-1.0) ** k * ak if alternating else ak
+        prev = mag
+        if np.all(mag <= 1e-18):
+            break
+    return s

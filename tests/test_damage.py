@@ -272,13 +272,14 @@ def test_damage_map_matches_loop(preset_temp, threshold, n_t, monkeypatch):
         == geo.L
     want_omega, want_t = _loop_damage_map(preset_temp, r, z, threshold, n_t)
     calls = []
-    inner = thermal.TemperatureSolution.eval
+    inner = thermal.TemperatureSolution.eval_rows
 
     def counted(self, *args):
         calls.append(args)
         return inner(self, *args)
 
-    monkeypatch.setattr(thermal.TemperatureSolution, "eval", counted)
+    # damage_map evaluates its blocks by eval_rows, on one radial table
+    monkeypatch.setattr(thermal.TemperatureSolution, "eval_rows", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dm = damage.damage_map(preset_temp, r, z, threshold=threshold,
@@ -298,16 +299,24 @@ def test_damage_map_blocks_match_one_eval(temp810, monkeypatch):
     r = np.linspace(0.0, geo.r_s, 7)
     z = np.linspace(-geo.L, geo.L, 10)         # nine live columns
     whole = damage.damage_map(temp810, r, z, n_t=51)
-    calls = []
-    inner = thermal.TemperatureSolution.eval
+    calls = {"radial_rows": [], "eval_rows": []}
 
-    def counted(self, *args):
-        calls.append(args)
-        return inner(self, *args)
+    def counting(name):
+        inner = getattr(thermal.TemperatureSolution, name)
 
-    monkeypatch.setattr(thermal.TemperatureSolution, "eval", counted)
+        def counted(self, *args):
+            calls[name].append(args)
+            return inner(self, *args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(thermal.TemperatureSolution, name,
+                            counting(name))
     monkeypatch.setattr(damage, "_EVAL_POINTS", 2 * 7 * 51)
     blocks = damage.damage_map(temp810, r, z, n_t=51)
-    assert len(calls) == 5                      # 2 + 2 + 2 + 2 + 1 columns
+    # one radial table for the map, one evaluation per block of
+    # 2 + 2 + 2 + 2 + 1 columns
+    assert len(calls["radial_rows"]) == 1
+    assert len(calls["eval_rows"]) == 5
     np.testing.assert_array_equal(blocks.omega, whole.omega)
     np.testing.assert_array_equal(blocks.t_cross, whole.t_cross)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from evla import specfn
 from oracles import (
-    ref_j0, ref_j1, ref_y0, ref_y1, ref_i0, ref_i1, ref_k0, ref_k1,
+    ref_asym_sum, ref_hankel_pq, ref_j0, ref_j1, ref_y0, ref_y1, ref_i0,
+    ref_i1, ref_k0, ref_k1,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -214,3 +215,38 @@ def test_small_argument_limits():
     # Y0 ~ (2/pi) ln x, K0 ~ -ln x as x -> 0+
     assert specfn.y0(1e-8) < -10
     assert specfn.k0(1e-8) > 10
+
+
+# the lower edge of each function's asymptotic regime
+ASYM_FROM = {"j0": 40.0, "j1": 40.0, "y0": 40.0, "y1": 40.0, "i0": 17.0,
+             "i1": 17.0, "k0": 20.0, "k1": 20.0}
+
+
+def test_asymptotic_sums_match_per_term_stop_rule(monkeypatch):
+    # the sums' term count, set once per call from the smallest and largest
+    # argument, reproduces the per-term rule tested on every point: bit for
+    # bit, on 1-point calls and on batches spanning the regime up to x = 700
+    rng = np.random.default_rng(1203)
+    batches = {name: [lo * np.exp(rng.uniform(0.0, np.log(700.0 / lo),
+                                              size))
+                      for size in (1, 1, 2, 3, 8, 40, 300) * 25]
+               for name, lo in ASYM_FROM.items()}
+    for x in batches["j0"]:
+        for nu in (0.0, 1.0):
+            for got, want in zip(specfn._hankel_pq(x, nu),
+                                 ref_hankel_pq(x, nu)):
+                np.testing.assert_array_equal(got, want)
+    for x in batches["k0"]:
+        for nu in (0.0, 1.0):
+            for alternating in (False, True):
+                np.testing.assert_array_equal(
+                    specfn._asym_sum(x, nu, alternating),
+                    ref_asym_sum(x, nu, alternating))
+    got = {name: [getattr(specfn, name)(x) for x in xs]
+           for name, xs in batches.items()}
+    monkeypatch.setattr(specfn, "_hankel_pq", ref_hankel_pq)
+    monkeypatch.setattr(specfn, "_asym_sum", ref_asym_sum)
+    for name, xs in batches.items():
+        for x, value in zip(xs, got[name]):
+            np.testing.assert_array_equal(value, getattr(specfn, name)(x),
+                                          err_msg=name)

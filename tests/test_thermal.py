@@ -185,6 +185,32 @@ def test_skipped_root_is_detected(ps810):
         thermal._build_modes(ps810, u)
 
 
+@pytest.fixture(scope="module")
+def roots21(ps810):
+    """The first 21 roots u of the default tissue stack."""
+    return np.sqrt([-m.zeta for m in modal_eigenvalues(ps810, n_modes=21)])
+
+
+@pytest.mark.parametrize("last, below", [(20, 21), (18, 19)])
+def test_root_list_past_or_short_of_the_modes_is_refused(
+        ps810, monkeypatch, roots21, last, below):
+    # the refined roots with the last one replaced by the next mode's root
+    # (the list runs past mode 19) or by mode 18's (it stops short): the
+    # discrete spectrum then holds one eigenvalue too many or too few
+    # below the largest root, before any mode is built
+    u = np.append(roots21[:19], roots21[last])
+    monkeypatch.setattr(thermal, "_refine", lambda *args: u.copy())
+    with pytest.raises(BracketExhausted,
+                       match="discrete spectrum has %d eigenvalues" % below):
+        modal_eigenvalues(ps810, n_modes=20)
+
+
+def test_seeds_carry_one_witness_past_the_modes(ps810, roots21):
+    seeds = thermal._seed_roots(ps810, 20)
+    assert seeds.size == 21
+    np.testing.assert_allclose(seeds, roots21, rtol=1e-6, atol=0.0)
+
+
 @pytest.mark.parametrize("mode, shift, recovered", [
     (7, 0.01, True), (7, -0.01, True), (0, 0.5, False), (7, -0.5, False),
     (7, 0.5, False), (19, -0.5, False), (7, 1.0, False)])
@@ -433,6 +459,29 @@ def test_eval_on_repeated_radii_matches_pointwise(ps810, temp810, mode,
     pointwise = np.vectorize(temp.eval)(r, z, t)
     assert grid.shape == pointwise.shape == np.broadcast(r, z, t).shape
     np.testing.assert_allclose(grid, pointwise, rtol=1e-12, atol=0.0)
+
+
+def test_eval_on_scattered_points_matches_pointwise(ps810, temp810):
+    # as many distinct radii and times as points: the relaxation terms are
+    # summed term by term rather than over the (r, t) pair table
+    geo, proto = ps810.geometry, ps810.protocol
+    rng = np.random.default_rng(7)
+    r = rng.uniform(0.0, geo.r_s, 40)
+    t = rng.uniform(0.0, proto.t_end, 40)
+    z = rng.uniform(-proto.v * t, geo.L)
+    np.testing.assert_allclose(temp810.eval(r, z, t),
+                               np.vectorize(temp810.eval)(r, z, t),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_eval_rows_refuses_radii_without_rows(temp810):
+    rows = temp810.radial_rows(np.array([0.5, 4.0]))
+    assert temp810.eval_rows(rows, 4.0, 0.0, 1.0) == temp810.eval(4.0, 0.0,
+                                                                  1.0)
+    with pytest.raises(ValueError, match="not among the rows' radii"):
+        temp810.eval_rows(rows, np.array([0.5, 4.5]), 0.0, 1.0)
+    with pytest.raises(DomainError):
+        temp810.radial_rows(np.array([0.5, np.nan]))
 
 
 def test_eval_raises_on_non_finite_output():
