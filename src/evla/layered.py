@@ -7,7 +7,9 @@ continuity at the zone edges, a few inner rows and an outer closure at
 r_s: the composite-medium construction of Mikhailov & Ozisik, *Unified
 Analysis and Solutions of Heat and Mass Diffusion* (1984).
 
-* RadialPiecewise evaluates a batch of such profiles.
+* RadialPiecewise evaluates a batch of such profiles; basis() gathers
+  the arguments of every zone, edge and row, so that an evaluation makes
+  one specfn call per function and basis kind present.
 * LayerSpec states one matching problem, batched over trial wavenumbers;
   assemble() builds its column-scaled system, which can be solved (with a
   condition check) or reduced to determinants.

@@ -609,8 +609,9 @@ class TemperatureSolution:
         Each factor is evaluated once per distinct value of its own
         coordinate, before broadcasting: the radial table on the distinct
         r (radial_rows), then the axial exponentials on the distinct z and
-        the time factors on the distinct t (eval_rows).  The terms are then
-        accumulated one by one.  Raises ThermalError where the closed form
+        the time factors on the distinct t (eval_rows).  The two forced
+        terms are then accumulated point by point, the offset and the modes
+        as one matrix product.  Raises ThermalError where the closed form
         has diverged to a non-finite value.
         """
         return self.eval_rows(self.radial_rows(r), r, z, t)
