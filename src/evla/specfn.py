@@ -22,15 +22,14 @@ temperature fields.  Three regimes per function:
 All entry points accept floats or numpy arrays and are vectorised.  A
 point's value depends on the other points of its call only through the
 series and asymptotic term counts, each set once per call (the series by
-the call's largest argument, the asymptotic sums by its smallest and
-largest), which move it by rounding only.  Accuracy target: relative
+the call's largest argument, the asymptotic sums by its smallest), which
+move it by rounding only.  Accuracy target: relative
 error ~1e-13 away from zeros of the oscillatory functions, absolute
 error ~1e-15 times the envelope near their zeros.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -321,27 +320,20 @@ def _asym_terms(x, fournu2):
     """Number of terms a_k / x^k (k >= 1) the asymptotic sums of order
     nu, 4 nu^2 = fournu2, take at the points x.
 
-    The stop rule is per term: stop before term k once |a_k / x^k| has
-    stopped falling at every point (divergence onset), and after it once
-    |a_k / x^k| <= 1e-18 at every point; at most 23 terms.  |a_k / x^k|
-    falls with x, rounding included (every step is a monotone rounded
-    operation), so the smallest x is the last to converge; the ratio of
-    consecutive terms, |4 nu^2 - (2k - 1)^2| / (8 k x), falls with x too,
-    so the largest x is the last to diverge (barring a ratio within
-    rounding of 1).  The rule therefore runs on those two scalars alone,
-    with the same operations as the sums.
+    The stop rule is per term: stop after term k once |a_k / x^k| <= 1e-18
+    at every point; at most 23 terms.  |a_k / x^k| falls with x, rounding
+    included (every step is a monotone rounded operation), so the smallest
+    x is the last to converge, and the rule runs on that scalar alone, with
+    the same operations as the sums.
     """
-    lo, hi = float(np.min(x)), float(np.max(x))
-    a_lo = a_hi = 1.0
-    prev = math.inf
+    # the terms never start to grow: for nu <= 1, k <= 23 and x >= 17 (the
+    # smallest asymptotic argument) the ratio of consecutive terms,
+    # |4 nu^2 - (2k - 1)^2| / (8 k x), is at most 2021 / (184 * 17) ~ 0.65
+    lo = float(np.min(x))
+    a_k = 1.0
     for k in range(1, 24):
-        step = fournu2 - (2 * k - 1) ** 2
-        a_lo = a_lo * step / (8.0 * k) / lo
-        a_hi = a_hi * step / (8.0 * k) / hi
-        if abs(a_hi) >= prev:
-            return k - 1
-        prev = abs(a_hi)
-        if abs(a_lo) <= 1e-18:
+        a_k = a_k * (fournu2 - (2 * k - 1) ** 2) / (8.0 * k) / lo
+        if abs(a_k) <= 1e-18:
             return k
     return 23
 

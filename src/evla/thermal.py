@@ -221,7 +221,7 @@ def _dets(ps, u):
 def _seed_roots(ps, n_modes):
     """Seeds of the first n_modes + 1 roots u from a discrete
     Sturm-Liouville problem (Pryce, *Numerical Solution of Sturm-Liouville
-    Problems*, 1993); the last is the witness of _check_count.
+    Problems*, 1993); the last is only read by _check_count.
 
     The relaxation problem -(r k R')' + c_b omega r R = u^2 rho c_p r R on
     [r_i, r_s], with R(r_i) = 0 and r k R' + r h R = 0 at r_s, is
@@ -358,13 +358,17 @@ def _refine(ps, a, b, fa, fb):
 
 
 def _check_count(seeds, u):
-    """The second completeness witness of the roots u: the discrete
-    spectrum behind the seeds (one more seed than roots) must hold exactly
-    len(u) eigenvalues below the largest root.  A seed counts when its
-    widest window, seed (1 - _WINDOW_LAST), reaches below that root, which
-    absorbs the seeds' discretisation error; a root list that runs past
-    the next mode then counts one too many, a list that stops short one
-    too few.  Raises BracketExhausted otherwise."""
+    """Check the refined roots u against their seeds (one more seed than
+    roots): exactly len(u) seeds, each lowered by the widest window
+    (1 - _WINDOW_LAST), must lie below the largest root, else
+    BracketExhausted.
+
+    This only checks that the refinement stayed within the seeds' windows:
+    _bracket and _refine keep every root within _WINDOW_LAST of its seed,
+    and the seeds lie further apart than that, so on their own output the
+    count always matches.  A mode that the discrete problem misses is
+    missing from the seeds too, so this count cannot see it; the Sturm
+    check of _build_modes is the only witness of a missed mode."""
     below = int(np.count_nonzero(seeds * (1.0 - _WINDOW_LAST) < np.max(u)))
     if below != u.size:
         raise BracketExhausted(
@@ -384,10 +388,10 @@ def modal_eigenvalues(ps: ParameterSet, n_modes=20) -> list:
     checked (_build_modes).
 
     Raises BracketExhausted when a seed's widest window holds no sign
-    change, when the discrete spectrum does not hold exactly n_modes
-    eigenvalues below the largest root (_check_count), or when mode n
-    (0-based) does not change sign exactly n times on (r_i, r_s]: by Sturm
-    oscillation a root was then missed or found twice.
+    change, when the refined roots left their seeds' windows
+    (_check_count), or when mode n (0-based) does not change sign exactly
+    n times on (r_i, r_s]: by Sturm oscillation a root was then missed or
+    found twice.
     """
     if n_modes <= 0:
         return []
@@ -585,15 +589,12 @@ class TemperatureSolution:
         relax = np.exp(self.decay[:, None] * tu)
         out = self.ps.protocol.T_b + sum(
             table[f][ir] * forced[f][reg, it] * axial[f][iz] for f in (0, 1))
-        # offset and modes: no axial factor (alpha = 0).  Their sum is one
-        # matrix product over the distinct (r, t) pairs, gathered, unless
-        # the pairs outnumber the broadcast (r, t) points (scattered
-        # points); then it is taken term by term
-        if ru.size * tu.size <= np.broadcast(ir, it).size:
-            out += (table[2:].T @ relax)[ir, it]
-        else:
-            for row, g in zip(table[2:], relax):
-                out += row[ir] * g[it]
+        # offset and modes: no axial factor (alpha = 0), every term of the
+        # shape of r and t broadcast
+        acc = table[2][ir] * relax[0][it]
+        for row, g in zip(table[3:], relax[1:]):
+            acc += row[ir] * g[it]
+        out += acc
         bad = np.count_nonzero(~np.isfinite(out))
         if bad:
             raise ThermalError(
@@ -609,9 +610,8 @@ class TemperatureSolution:
         Each factor is evaluated once per distinct value of its own
         coordinate, before broadcasting: the radial table on the distinct
         r (radial_rows), then the axial exponentials on the distinct z and
-        the time factors on the distinct t (eval_rows).  The two forced
-        terms are then accumulated point by point, the offset and the modes
-        as one matrix product.  Raises ThermalError where the closed form
+        the time factors on the distinct t (eval_rows).  The terms are then
+        accumulated one by one.  Raises ThermalError where the closed form
         has diverged to a non-finite value.
         """
         return self.eval_rows(self.radial_rows(r), r, z, t)

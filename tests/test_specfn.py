@@ -223,9 +223,9 @@ ASYM_FROM = {"j0": 40.0, "j1": 40.0, "y0": 40.0, "y1": 40.0, "i0": 17.0,
 
 
 def test_asymptotic_sums_match_per_term_stop_rule(monkeypatch):
-    # the sums' term count, set once per call from the smallest and largest
-    # argument, reproduces the per-term rule tested on every point: bit for
-    # bit, on 1-point calls and on batches spanning the regime up to x = 700
+    # the sums' term count, set once per call from the smallest argument,
+    # reproduces the per-term rule tested on every point: bit for bit, on
+    # 1-point calls and on batches spanning the regime up to x = 700
     rng = np.random.default_rng(1203)
     batches = {name: [lo * np.exp(rng.uniform(0.0, np.log(700.0 / lo),
                                               size))

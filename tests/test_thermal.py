@@ -194,10 +194,10 @@ def roots21(ps810):
 @pytest.mark.parametrize("last, below", [(20, 21), (18, 19)])
 def test_root_list_past_or_short_of_the_modes_is_refused(
         ps810, monkeypatch, roots21, last, below):
-    # the refined roots with the last one replaced by the next mode's root
-    # (the list runs past mode 19) or by mode 18's (it stops short): the
-    # discrete spectrum then holds one eigenvalue too many or too few
-    # below the largest root, before any mode is built
+    # a refinement that leaves its seeds' windows: the last root replaced
+    # by the next mode's root (the list runs past mode 19) or by mode 18's
+    # (it stops short).  The seeds then count one eigenvalue too many or
+    # too few below the largest root, before any mode is built
     u = np.append(roots21[:19], roots21[last])
     monkeypatch.setattr(thermal, "_refine", lambda *args: u.copy())
     with pytest.raises(BracketExhausted,
@@ -459,19 +459,6 @@ def test_eval_on_repeated_radii_matches_pointwise(ps810, temp810, mode,
     pointwise = np.vectorize(temp.eval)(r, z, t)
     assert grid.shape == pointwise.shape == np.broadcast(r, z, t).shape
     np.testing.assert_allclose(grid, pointwise, rtol=1e-12, atol=0.0)
-
-
-def test_eval_on_scattered_points_matches_pointwise(ps810, temp810):
-    # as many distinct radii and times as points: the relaxation terms are
-    # summed term by term rather than over the (r, t) pair table
-    geo, proto = ps810.geometry, ps810.protocol
-    rng = np.random.default_rng(7)
-    r = rng.uniform(0.0, geo.r_s, 40)
-    t = rng.uniform(0.0, proto.t_end, 40)
-    z = rng.uniform(-proto.v * t, geo.L)
-    np.testing.assert_allclose(temp810.eval(r, z, t),
-                               np.vectorize(temp810.eval)(r, z, t),
-                               rtol=1e-12, atol=0.0)
 
 
 def test_eval_rows_refuses_radii_without_rows(temp810):
