@@ -40,6 +40,7 @@ for comparison and are not PDE solutions.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -51,13 +52,20 @@ from .layered import IK, JY, LayerSpec, RadialPiecewise, assemble, stack
 from .params import (OUTER, OUTER_FIRST, ParameterSet, Region,
                      derive_optics, region_index)
 
-# cells per tissue zone of the coarser seed grid; the finer has twice as
-# many
-_SEED_CELLS = 256
+# polynomial degree of the seed problem's spectral elements, and the
+# half-waves of the highest seeded mode that one element spans: about 6.7
+# nodes per wavelength, which puts the seeds within 1e-11 of the roots on
+# the built-in tables and the plan workload's ranges
+_SEED_DEGREE = 20
+_SEED_HALF_WAVES = 6
+# the largest seed problem (about 580 modes on the built-in tables): a
+# dense eigensolve on more unknowns takes seconds
+_SEED_MAX_UNKNOWNS = 2000
 # the first and the widest half-width of the window around each seed,
-# relative to the seed; the roots of the built-in tables lie at least
-# 4.9e-2 apart relative (4.8e-2 over 60 draws from the plan workload's
-# ranges), so windows of +-1% do not overlap
+# relative to the seed; the widest is also held below 0.4 of the gap to
+# the nearer neighbouring seed, so that no two windows overlap (the first
+# 20 roots of the built-in tables lie at least 4.9e-2 apart relative, the
+# 200th only 5e-3)
 _WINDOW_FIRST = 4e-6
 _WINDOW_LAST = 1e-2
 # Simpson intervals per tissue zone in the projection quadrature
@@ -218,63 +226,108 @@ def _dets(ps, u):
     return assemble(_mode_spec(ps, u)).det()
 
 
+@functools.cache
+def _gll(p):
+    """Legendre-Gauss-Lobatto rule of degree p on [-1, 1]: the nodes x,
+    the weights w and the differentiation matrix d, d_ij = l_j'(x_i) for
+    the Lagrange basis l_j on the nodes.  Read-only arrays.
+
+    The inner nodes are the roots of P_p', the eigenvalues of the Jacobi
+    matrix of the (1, 1) Jacobi polynomials (Golub & Welsch, *Math. Comp.*
+    23, 1969); w_j = 2 / (p (p + 1) P_p(x_j)^2).  The diagonal of d is
+    minus its off-diagonal row sum, so that d maps constants to zero to
+    rounding (Baltensperger & Trummer, *SIAM J. Sci. Comput.* 24, 2003).
+    """
+    k = np.arange(1.0, p - 1)
+    beta = np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
+    x = np.concatenate([[-1.0], np.linalg.eigvalsh(np.diag(beta, -1)),
+                        [1.0]])
+    p0, p1 = np.ones_like(x), x                      # P_0, P_1 at x
+    for n in range(2, p + 1):
+        p0, p1 = p1, ((2 * n - 1) * x * p1 - (n - 1) * p0) / n
+    w = 2.0 / (p * (p + 1) * p1 * p1)
+    d = p1[:, None] / p1[None, :] / (x[:, None] - x[None, :] + np.eye(p + 1))
+    np.fill_diagonal(d, 0.0)
+    d[np.diag_indices(p + 1)] = -d.sum(axis=1)
+    for a in (x, w, d):
+        a.setflags(write=False)
+    return x, w, d
+
+
 def _seed_roots(ps, n_modes):
     """Seeds of the first n_modes + 1 roots u from a discrete
     Sturm-Liouville problem (Pryce, *Numerical Solution of Sturm-Liouville
-    Problems*, 1993); the last is only read by _check_count.
+    Problems*, 1993); the last is only read by _widest_windows and
+    _check_count.
 
     The relaxation problem -(r k R')' + c_b omega r R = u^2 rho c_p r R on
     [r_i, r_s], with R(r_i) = 0 and r k R' + r h R = 0 at r_s, is
-    discretised by lumped P1 elements on _SEED_CELLS and on 2 _SEED_CELLS
-    uniform cells per zone.  Their eigenvalues err by O(cells^-2), and the
-    Richardson value (4 lam_2N - lam_N) / 3 cancels that term (Paine,
-    de Hoog & Anderssen, *Computing* 26, 1981): on the built-in tables and
-    the plan workload's ranges the seeds lie within 2.4e-7 of the roots.
+    discretised in its weak form by spectral elements of degree
+    _SEED_DEGREE on Legendre-Gauss-Lobatto nodes (Patera, *J. Comput.
+    Phys.* 54, 1984), with the Robin term r_s h at r_s.  A mode's phase
+    u sqrt(rho c_p / k) dr gathers in each zone in proportion to its
+    width times sqrt(rho c_p / k), so each zone gets enough uniform
+    elements for its share of the n_modes + 1 half-waves at
+    _SEED_HALF_WAVES per element.  The GLL-lumped heat capacity is
+    diagonal, so the problem symmetrises to one dense eigvalsh.  On the
+    built-in tables and the plan workload's ranges the seeds lie within
+    1e-11 of the roots.  Raises BracketExhausted where the problem would
+    need more than _SEED_MAX_UNKNOWNS unknowns.
     """
-    # imported here: only the mode search needs scipy, whose import costs
-    # a CLI process about 0.3 s
-    from scipy.linalg import eigh_tridiagonal
-
-    if n_modes >= len(OUTER) * _SEED_CELLS:
-        raise BracketExhausted("%d modes asked for; the seed grid has %d "
-                               "unknowns" % (n_modes,
-                                             len(OUTER) * _SEED_CELLS))
     geo = ps.geometry
     edges = geo.edges[OUTER_FIRST:]
     c_b = ps.blood_thermal.c_p
-    lam = []
-    for cells in (_SEED_CELLS, 2 * _SEED_CELLS):
-        # per cell: the conductance k r / h, and the heat capacity and the
-        # perfusion sink of half the cell, lumped on each end node
-        per_cell = []
-        for reg, lo, hi in zip(OUTER, edges, edges[1:]):
-            th = ps.thermal_of(reg)
-            h = (hi - lo) / cells
-            r = lo + h * (np.arange(cells) + 0.5)          # cell midpoints
-            per_cell.append([th.k * r / h, 0.5 * th.rho_cp * r * h,
-                             0.5 * c_b * th.omega * r * h])
-        stiff, mass, sink = np.concatenate(per_cell, axis=1)
-        # the node at r_i is held at zero; the one at r_s carries the
-        # Robin term r_s h
-        diag = stiff + sink + np.append(stiff[1:] + sink[1:],
-                                        geo.r_s * ps.protocol.h_air)
-        s = 1.0 / np.sqrt(mass + np.append(mass[1:], 0.0))
-        lam.append(eigh_tridiagonal(
-            diag * s * s, -stiff[1:] * s[:-1] * s[1:], eigvals_only=True,
-            select="i", select_range=(0, n_modes)))
-    return np.sqrt((4.0 * lam[1] - lam[0]) / 3.0)
+    ths = [ps.thermal_of(reg) for reg in OUTER]
+    phase = np.array([(hi - lo) * math.sqrt(th.rho_cp / th.k)
+                      for th, lo, hi in zip(ths, edges, edges[1:])])
+    cells = [math.ceil((n_modes + 1) / _SEED_HALF_WAVES * share)
+             for share in phase / phase.sum()]
+    p = _SEED_DEGREE
+    n = p * sum(cells)                  # every node but the one at r_i
+    if n > _SEED_MAX_UNKNOWNS:
+        raise BracketExhausted("%d modes asked for; the seed problem would "
+                               "need %d unknowns, more than %d"
+                               % (n_modes, n, _SEED_MAX_UNKNOWNS))
+    x, w, d = _gll(p)
+    stiff = np.zeros((n + 1, n + 1))
+    mass = np.zeros(n + 1)
+    start = 0
+    for th, lo, hi, m in zip(ths, edges, edges[1:], cells):
+        jac = 0.5 * (hi - lo) / m
+        for a in lo + 2.0 * jac * np.arange(m):
+            r = a + jac * (x + 1.0)
+            nodes = slice(start, start + p + 1)
+            # conductance, and the GLL-lumped perfusion sink
+            stiff[nodes, nodes] += ((d.T * (w * th.k * r / jac)) @ d
+                                    + np.diag(w * c_b * th.omega * r * jac))
+            mass[nodes] += w * th.rho_cp * r * jac
+            start += p
+    stiff[-1, -1] += geo.r_s * ps.protocol.h_air
+    # the node at r_i is held at zero
+    s = 1.0 / np.sqrt(mass[1:])
+    lam = np.linalg.eigvalsh(stiff[1:, 1:] * s[:, None] * s[None, :])
+    return np.sqrt(lam[:n_modes + 1])
 
 
-def _bracket(ps, seeds):
+def _widest_windows(seeds):
+    """The widest window half-width of each seed, relative to it:
+    _WINDOW_LAST, or 0.4 of the gap to the nearer neighbouring seed where
+    that is less."""
+    gap = np.diff(seeds)
+    near = np.minimum(np.append(gap, np.inf), np.insert(gap, 0, np.inf))
+    return np.minimum(_WINDOW_LAST, 0.4 * near / seeds)
+
+
+def _bracket(ps, seeds, widest):
     """(a, b, f(a), f(b)): one sign change of the determinant f around
     each seed, a == b where f is exactly zero there.
 
     Every window starts at seed (1 +- _WINDOW_FIRST) and widens tenfold
-    while it holds no sign change, up to seed (1 +- _WINDOW_LAST); one
-    stacked determinant per round evaluates the ends of every open window.
-    A window is split where it straddles a basis switch, where a region's
-    radial character flips between oscillatory and evanescent and the
-    determinant jumps.
+    while it holds no sign change, up to seed (1 +- widest), widest from
+    _widest_windows; one stacked determinant per round evaluates the ends
+    of every open window.  A window is split where it straddles a basis
+    switch, where a region's radial character flips between oscillatory
+    and evanescent and the determinant jumps.
     """
     c_b = ps.blood_thermal.c_p
     # chi = 0 when rho_cp u^2 = c_b omega
@@ -284,10 +337,11 @@ def _bracket(ps, seeds):
     rel = _WINDOW_FIRST
     while True:
         pieces = []                                  # (mode, lo, hi)
-        for i, seed in enumerate(seeds):
+        for i, (seed, most) in enumerate(zip(seeds, widest)):
             if found[i] is not None:
                 continue
-            lo, hi = seed * (1.0 - rel), seed * (1.0 + rel)
+            half = seed * min(rel, most)
+            lo, hi = seed - half, seed + half
             ends = [lo]
             for s in switches:
                 if lo < s < hi:
@@ -311,8 +365,8 @@ def _bracket(ps, seeds):
             return np.array(found).T
         if rel >= _WINDOW_LAST:
             raise BracketExhausted(
-                "no sign change of the determinant within %g of the seeds "
-                "of modes %s" % (_WINDOW_LAST, missing))
+                "no sign change of the determinant within the widest "
+                "windows of the seeds of modes %s" % missing)
         rel = min(10.0 * rel, _WINDOW_LAST)
 
 
@@ -357,19 +411,18 @@ def _refine(ps, a, b, fa, fb):
                        "steps")
 
 
-def _check_count(seeds, u):
+def _check_count(seeds, widest, u):
     """Check the refined roots u against their seeds (one more seed than
-    roots): exactly len(u) seeds, each lowered by the widest window
-    (1 - _WINDOW_LAST), must lie below the largest root, else
-    BracketExhausted.
+    roots): exactly len(u) seeds, each lowered by its widest window
+    (1 - widest), must lie below the largest root, else BracketExhausted.
 
     This only checks that the refinement stayed within the seeds' windows:
-    _bracket and _refine keep every root within _WINDOW_LAST of its seed,
-    and the seeds lie further apart than that, so on their own output the
-    count always matches.  A mode that the discrete problem misses is
-    missing from the seeds too, so this count cannot see it; the Sturm
-    check of _build_modes is the only witness of a missed mode."""
-    below = int(np.count_nonzero(seeds * (1.0 - _WINDOW_LAST) < np.max(u)))
+    _bracket and _refine keep every root within its seed's widest window,
+    and no two of those overlap, so on their own output the count always
+    matches.  A mode that the discrete problem misses is missing from the
+    seeds too, so this count cannot see it; the Sturm check of
+    _build_modes is the only witness of a missed mode."""
+    below = int(np.count_nonzero(seeds * (1.0 - widest) < np.max(u)))
     if below != u.size:
         raise BracketExhausted(
             "the discrete spectrum has %d eigenvalues below the largest "
@@ -381,24 +434,28 @@ def modal_eigenvalues(ps: ParameterSet, n_modes=20) -> list:
     """First n_modes radial relaxation modes, slowest first.
 
     Every root u = sqrt(-zeta) of the scaled interface determinant is
-    seeded by a discrete Sturm-Liouville problem (_seed_roots), bracketed
-    in a narrow window around its seed (_bracket), and the brackets are
-    refined together (_refine); with the built-in tables the search makes
-    five stacked determinant calls.  The modes are then built together and
+    seeded by a spectral-element discretisation of the relaxation problem
+    (_seed_roots, one dense eigvalsh on numpy alone), bracketed in a narrow
+    window around its seed (_bracket), and the brackets are refined
+    together (_refine); with the built-in tables the search makes five
+    stacked determinant calls.  The modes are then built together and
     checked (_build_modes).
 
-    Raises BracketExhausted when a seed's widest window holds no sign
-    change, when the refined roots left their seeds' windows
-    (_check_count), or when mode n (0-based) does not change sign exactly
-    n times on (r_i, r_s]: by Sturm oscillation a root was then missed or
-    found twice.
+    Raises BracketExhausted when the seed problem would be too large
+    (more than _SEED_MAX_UNKNOWNS unknowns, about 580 modes on the
+    built-in tables), when a seed's widest window holds no sign change,
+    when the refined roots left their seeds' windows (_check_count), or
+    when mode n (0-based) does not change sign exactly n times on
+    (r_i, r_s]: by Sturm oscillation a root was then missed or found
+    twice.
     """
     if n_modes <= 0:
         return []
     seeds = _seed_roots(ps, n_modes)
-    a, b, fa, fb = _bracket(ps, seeds[:-1])
+    widest = _widest_windows(seeds)
+    a, b, fa, fb = _bracket(ps, seeds[:-1], widest[:-1])
     u = _refine(ps, a, b, fa, fb)
-    _check_count(seeds, u)
+    _check_count(seeds, widest, u)
     return _build_modes(ps, u)
 
 
@@ -560,7 +617,13 @@ class TemperatureSolution:
         its blocks).  Non-finite radii and radii outside [0, r_s] raise
         DomainError.
         """
-        ru = np.unique(np.asarray(r, dtype=float))
+        # sorted, then deduplicated by comparing neighbours (np.unique
+        # would import numpy.ma on its first call); nan != nan, so every
+        # nan is kept for the domain check
+        ru = np.sort(np.asarray(r, dtype=float), axis=None)
+        keep = np.ones(ru.size, dtype=bool)
+        keep[1:] = ru[1:] != ru[:-1]
+        ru = ru[keep]
         # z = t = 0 lies in the domain: only the radii are checked
         self.sol._check_domain(ru, 0.0, 0.0)
         reg_u = region_index(ru, self.ps.geometry)

@@ -218,8 +218,9 @@ def test_misplaced_seed_is_recovered_or_refused(ps810, monkeypatch, mode,
                                                 shift, recovered):
     # one seed moved by a fraction of the gap to its neighbour on that
     # side: by 1% its window widens until it holds the root again; by half
-    # a gap its widest window holds no root, and by a whole gap it holds
-    # the neighbour's root, which the Sturm check refuses
+    # a gap its widest window holds no root, and by a whole gap it lands on
+    # the neighbour's seed, and the two windows, which may not overlap,
+    # are too narrow to hold a root
     u_ref = np.sqrt(-np.array(ZETA_DEFAULT_STACK))
     near = mode + (1 if shift > 0 else -1)
     seed_roots = thermal._seed_roots
@@ -252,7 +253,8 @@ def test_window_at_a_basis_switch_is_split(ps810):
     switch = min(math.sqrt(c_b * th.omega / th.rho_cp)
                  for th in map(ps810.thermal_of, thermal.OUTER))
     with pytest.raises(BracketExhausted, match="no sign change"):
-        thermal._bracket(ps810, np.array([switch + 1e-8]))
+        thermal._bracket(ps810, np.array([switch + 1e-8]),
+                         np.array([thermal._WINDOW_LAST]))
 
 
 def _plan_like(rng, wavelength):
@@ -276,13 +278,60 @@ def test_search_matches_reference_scan(monkeypatch, draw):
     dets = thermal._dets
     switches = [math.sqrt(ps.blood_thermal.c_p * th.omega / th.rho_cp)
                 for th in map(ps.thermal_of, thermal.OUTER)]
-    want = -np.array(scan_roots(lambda u: dets(ps, u), switches, 20)) ** 2
+    roots = np.array(scan_roots(lambda u: dets(ps, u), switches, 20))
+    # the spectral-element seeds alone, before any determinant call
+    np.testing.assert_allclose(thermal._seed_roots(ps, 20)[:-1], roots,
+                               rtol=1e-8, atol=0.0)
     calls = []
     monkeypatch.setattr(thermal, "_dets",
                         lambda ps_, u: calls.append(u.size) or dets(ps_, u))
     got = [m.zeta for m in modal_eigenvalues(ps, n_modes=20)]
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got, -roots ** 2, rtol=1e-12, atol=0.0)
     assert len(calls) <= 8, calls
+
+
+@pytest.mark.parametrize("n_modes", [100, 200])
+def test_hundreds_of_modes_pass_the_sturm_check(ps810, n_modes):
+    # past about 100 modes neighbouring roots lie closer than the 1%
+    # widest window, so the windows shrink to keep apart
+    seeds = thermal._seed_roots(ps810, n_modes)
+    widest = thermal._widest_windows(seeds)
+    assert np.all(seeds[:-1] * (1.0 + widest[:-1])
+                  < seeds[1:] * (1.0 - widest[1:]))
+    modes = modal_eigenvalues(ps810, n_modes=n_modes)
+    assert len(modes) == n_modes
+    zetas = np.array([m.zeta for m in modes])
+    assert np.all(np.diff(zetas) < 0.0)
+    np.testing.assert_allclose(zetas[:20], ZETA_DEFAULT_STACK, rtol=1e-12,
+                               atol=0.0)
+    # mode n changes sign n times on (r_i, r_s], counted on a grid five
+    # times finer than the search's
+    geo = ps810.geometry
+    r = np.linspace(geo.r_i, geo.r_s, 4001)[1:]
+    for n, row in enumerate(stack([m.profile for m in modes]).values(r)):
+        s = np.sign(row[row != 0.0])
+        assert np.count_nonzero(s[1:] != s[:-1]) == n
+
+
+@pytest.mark.parametrize("p", [2, 3, 8, 20, 24])
+def test_gll_rule_matches_numpy_polynomial(p):
+    from numpy.polynomial import legendre
+
+    x, w, d = thermal._gll(p)
+    basis = legendre.Legendre.basis(p)
+    want = np.concatenate([[-1.0], np.sort(basis.deriv().roots()), [1.0]])
+    np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(w, 2.0 / (p * (p + 1) * basis(x) ** 2),
+                               rtol=1e-13)
+    # exact quadrature to degree 2p - 1 and exact derivatives to degree p
+    for deg in range(2 * p):
+        assert np.sum(w * x ** deg) == pytest.approx(
+            (1.0 + (-1.0) ** deg) / (deg + 1.0), abs=1e-14)
+    for deg in range(p + 1):
+        np.testing.assert_allclose(d @ x ** deg,
+                                   deg * x ** max(deg - 1, 0), rtol=0.0,
+                                   atol=1e-12 * max(deg, 1) * p * p)
+    assert not (x.flags.writeable or w.flags.writeable or d.flags.writeable)
 
 
 def test_modes_do_not_depend_on_wavelength_or_power(modes810):
@@ -469,6 +518,16 @@ def test_eval_rows_refuses_radii_without_rows(temp810):
         temp810.eval_rows(rows, np.array([0.5, 4.5]), 0.0, 1.0)
     with pytest.raises(DomainError):
         temp810.radial_rows(np.array([0.5, np.nan]))
+
+
+def test_radial_rows_take_the_sorted_distinct_radii(temp810):
+    r = np.array([[4.0, 0.5, 4.0], [0.0, -0.0, 12.5]])
+    ru, table = temp810.radial_rows(r)
+    np.testing.assert_array_equal(ru, np.unique(r))
+    np.testing.assert_array_equal(table, temp810.radial_rows(ru)[1])
+    ru, table = temp810.radial_rows(np.zeros((0, 3)))
+    assert ru.shape == (0,) and table.shape == (temp810.amp.shape[0], 0)
+    assert temp810.eval(np.zeros((2, 0)), 0.0, 1.0).shape == (2, 0)
 
 
 def test_eval_raises_on_non_finite_output():
