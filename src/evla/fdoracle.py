@@ -21,17 +21,18 @@ general sparse factorization.  The FV coefficients depend on r alone, so
 the 5-point operator is a Kronecker sum dz R (x) I + D (x) T/dz of a
 radial tridiagonal R (flux plus reaction), the CV axial weights D and the
 1-D axial second difference T; every closure pins whole grid lines, so
-the free block keeps that form.  One symmetric tridiagonal eigensolve per
-direction, two transforms each way and a pointwise divide give the exact
-discrete solution (the tensor-product method of Lynch, Rice & Thomas,
-Numer. Math. 6 (1964)).  The backward-Euler transient with still blood
-(u = 0) is the same Kronecker sum: the mass/dt and the Robin rim only add
-to R's diagonal, and no line is pinned.  It is diagonalised once and each
-step costs two transforms each way.  Flowing blood (u > 0) adds a third
-Kronecker term, the lumen-only upwind axial difference, which does not
-commute with T, so no single axial basis diagonalises the operator; that
-case keeps one sparse LU factorization, reused at every time step.
-scipy.sparse is imported only there and in the residual probe's stencil.
+the free block keeps that form.  T's eigenvectors are the closed-form
+cosine (DCT-II, Neumann ends) or sine (DST-I, pinned ends) transforms, and
+one dense symmetric eigensolve gives R's; two transforms each way and a
+pointwise divide then give the exact discrete solution (the tensor-product
+method of Lynch, Rice & Thomas, Numer. Math. 6 (1964)).  The backward-Euler
+transient with still blood (u = 0) is the same Kronecker sum: the mass/dt
+and the Robin rim only add to R's diagonal, and no line is pinned.  It is
+diagonalised once and each step costs two transforms each way.  Flowing
+blood (u > 0) adds a third Kronecker term, the lumen-only upwind axial
+difference, which does not commute with T, so no single axial basis
+diagonalises the operator; that case keeps one sparse LU factorization,
+reused at every time step.  scipy (scipy.sparse) is imported only there.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .params import ParameterSet, Region, region_index
 
@@ -91,9 +91,10 @@ def make_grid(geo, nr, nz, rmin=0.0, scale=1) -> Grid2D:
     edges = _region_edges(geo, rmin)
     counts = region_counts(geo, nr, rmin) * scale
     nz = nz * scale
-    r = np.unique(np.concatenate(
-        [np.linspace(edges[i], edges[i + 1], counts[i] + 1)
-         for i in range(len(counts))]))
+    # each region's nodes but its outer edge, which starts the next region
+    r = np.append(np.concatenate(
+        [np.linspace(lo, hi, n + 1)[:-1]
+         for lo, hi, n in zip(edges[:-1], edges[1:], counts)]), edges[-1])
     z = np.linspace(-geo.L, geo.L, nz + 1)
     rface = 0.5 * (r[1:] + r[:-1])
     lo = np.empty_like(r)
@@ -136,59 +137,16 @@ def _per_node_coeffs(grid: Grid2D, geo, diff_of, react_of, src_radius=None):
     return d_face, d_cv, m_cv, s_cv
 
 
-def _stencil(grid: Grid2D, d_face, d_cv, m_cv):
-    """Sparse 5-point operator: flux divergence + reaction, CV-integrated.
-
-    Rows are produced for every node; boundary handling replaces rows
-    afterwards.  Missing neighbours (domain edges) simply contribute no
-    flux, which is a homogeneous Neumann edge by construction.
-    """
-    import scipy.sparse as sp
-
-    nr, nz = grid.shape
-    dz = grid.dz
-    jj, ii = np.meshgrid(np.arange(nr), np.arange(nz), indexing="ij")
-    k = (jj * nz + ii).ravel()
-
-    rows, cols, vals = [k], [k], [m_cv[jj.ravel()] * grid.area[jj.ravel()]
-                                  * dz]
-
-    def add(mask, neigh, w):
-        kk = k[mask.ravel()]
-        rows.append(kk)
-        cols.append(neigh.ravel()[mask.ravel()])
-        vals.append(-w.ravel()[mask.ravel()])
-        rows.append(kk)
-        cols.append(kk)
-        vals.append(w.ravel()[mask.ravel()])
-
-    # radial neighbours
-    w_in = np.zeros((nr, nz))
-    w_in[1:, :] = (d_face[:, None] * grid.rface[:, None] * dz
-                   / np.diff(grid.r)[:, None])
-    add(jj > 0, (jj - 1) * nz + ii, w_in)
-    w_out = np.zeros((nr, nz))
-    w_out[:-1, :] = (d_face[:, None] * grid.rface[:, None] * dz
-                     / np.diff(grid.r)[:, None])
-    add(jj < nr - 1, (jj + 1) * nz + ii, w_out)
-    # axial neighbours
-    w_z = d_cv[jj] * grid.area[jj] / dz
-    add(ii > 0, jj * nz + (ii - 1), w_z)
-    add(ii < nz - 1, jj * nz + (ii + 1), w_z)
-
-    return sp.csr_matrix(
-        sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(nr * nz, nr * nz)))
-
-
 def _line_factors(grid: Grid2D, d_face, d_cv, m_cv):
-    """_stencil's operator as a Kronecker sum, A = dz R (x) I + D (x) T/dz.
+    """The 5-point flux-divergence-plus-reaction operator, CV-integrated,
+    as a Kronecker sum A = dz R (x) I + D (x) T/dz.
 
     R is the symmetric tridiagonal radial flux-plus-reaction matrix per unit
     length, D = d_cv * area the CV axial conductance weights and T the 1-D
-    axial second difference with homogeneous Neumann ends.  Returned as
-    (R diagonal, R off-diagonal, D, T diagonal, T off-diagonal).
+    axial second difference.  Missing neighbours at the domain edges
+    contribute no flux, so every edge is a homogeneous Neumann edge until a
+    closure pins its line.  Returned as (R diagonal, R off-diagonal, D,
+    T diagonal, T off-diagonal).
     """
     w = d_face * grid.rface / np.diff(grid.r)
     r_diag = m_cv * grid.area
@@ -215,22 +173,43 @@ def _kron_matvec(factors, dz, x):
             + d_w[:, None] * _tridiag_rows(t_diag, t_off, x.T).T / dz)
 
 
+def _axial_basis(t_diag):
+    """Eigenpairs (lam, Q), T Q = Q diag(lam) and Q' Q = I, of a block of
+    _line_factors' axial second difference T: the whole line, whose
+    Neumann ends (t_diag[0] == 1) make Q the orthonormal DCT-II, or the
+    line without its two end nodes (pinned ends), whose Q is the DST-I.
+    Both are closed forms, lam = 4 sin^2(theta / 2) with theta = pi k / n
+    for k = 0 .. n - 1 (DCT-II), pi k / (n + 1) for k = 1 .. n (DST-I)."""
+    n = t_diag.size
+    j = np.arange(n)
+    if t_diag[0] == 1.0:
+        theta = np.pi * j / n
+        q = np.cos(np.outer(j + 0.5, theta)) * np.sqrt(2.0 / n)
+        q[:, 0] = np.sqrt(1.0 / n)
+    else:
+        theta = np.pi * (j + 1) / (n + 1)
+        q = np.sin(np.outer(j + 1, theta)) * np.sqrt(2.0 / (n + 1))
+    return 4.0 * np.sin(0.5 * theta) ** 2, q
+
+
 def _separable_factor(factors, dz, rows, cols):
     """Diagonalise the block rows x cols (two slices with explicit bounds)
     of A, given by its _line_factors.
 
     On the block the Kronecker sum diagonalises as R V = D V diag(mu) with
     V' D V = I and T Q = Q diag(lam), so A^-1 b = V [(V' b Q) / (dz mu +
-    lam/dz)] Q' (Lynch, Rice & Thomas, Numer. Math. 6 (1964)).  Returns
-    (V, Q, divisor) for _separable_apply.
+    lam/dz)] Q' (Lynch, Rice & Thomas, Numer. Math. 6 (1964)).  Q and lam
+    are closed forms (_axial_basis); V and mu come from one dense symmetric
+    eigensolve of D^-1/2 R D^-1/2.  Returns (V, Q, divisor) for
+    _separable_apply.
     """
-    r_diag, r_off, d_w, t_diag, t_off = factors
-    lam, q = eigh_tridiagonal(t_diag[cols],
-                              t_off[cols.start:cols.stop - 1])
+    r_diag, r_off, d_w, t_diag, _ = factors
+    lam, q = _axial_basis(t_diag[cols])
     scale = 1.0 / np.sqrt(d_w[rows])
-    mu, w = eigh_tridiagonal(r_diag[rows] * scale * scale,
-                             r_off[rows.start:rows.stop - 1]
-                             * scale[:-1] * scale[1:])
+    # eigh reads the lower triangle only
+    mu, w = np.linalg.eigh(np.diag(r_diag[rows] * scale * scale)
+                           + np.diag(r_off[rows.start:rows.stop - 1]
+                                     * scale[:-1] * scale[1:], -1))
     return scale[:, None] * w, q, dz * mu[:, None] + lam[None, :] / dz
 
 
@@ -404,10 +383,9 @@ def residual_probe(ps: ParameterSet, field, diff_of, react_of, source=None,
         grid = make_grid(geo, nr, nz, rmin=rmin, scale=scale)
         d_face, d_cv, m_cv, _ = _per_node_coeffs(
             grid, geo, diff_of, react_of)
-        op = _stencil(grid, d_face, d_cv, m_cv)
         rr, zz = grid.meshes()
-        f = field(rr, zz)
-        res = (op @ f.ravel()).reshape(grid.shape)
+        res = _kron_matvec(_line_factors(grid, d_face, d_cv, m_cv), grid.dz,
+                           field(rr, zz))
         if source is not None:
             res -= source(rr, zz) * grid.area[:, None] * grid.dz
         vol = grid.area[:, None] * grid.dz * np.ones_like(res)

@@ -7,12 +7,15 @@ oscillatory functions before cancellation bites); the tests use them in
 that range and fall back to quad-based cross-checks elsewhere.
 
 scan_roots is the reference mode search: a fixed-step scan of a
-determinant and one brentq solve per sign change.
+determinant and one brentq solve per sign change.  stencil is the
+reference finite-volume operator: the sparse matrix that fdoracle applies
+and solves as a Kronecker sum.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import brentq
 
 GAMMA = 0.57721566490153286060651209008240243104215933593992
@@ -221,3 +224,48 @@ def ref_asym_sum(x, nu, alternating):
         if np.all(mag <= 1e-18):
             break
     return s
+
+
+def stencil(grid, d_face, d_cv, m_cv):
+    """Sparse 5-point operator of an fdoracle Grid2D: flux divergence +
+    reaction, CV-integrated, assembled entry by entry in COO form.
+
+    Rows are produced for every node; boundary handling replaces rows
+    afterwards.  Missing neighbours (domain edges) simply contribute no
+    flux, which is a homogeneous Neumann edge by construction.
+    """
+    nr, nz = grid.shape
+    dz = grid.dz
+    jj, ii = np.meshgrid(np.arange(nr), np.arange(nz), indexing="ij")
+    k = (jj * nz + ii).ravel()
+
+    rows, cols, vals = [k], [k], [m_cv[jj.ravel()] * grid.area[jj.ravel()]
+                                  * dz]
+
+    def add(mask, neigh, w):
+        kk = k[mask.ravel()]
+        rows.append(kk)
+        cols.append(neigh.ravel()[mask.ravel()])
+        vals.append(-w.ravel()[mask.ravel()])
+        rows.append(kk)
+        cols.append(kk)
+        vals.append(w.ravel()[mask.ravel()])
+
+    # radial neighbours
+    w_in = np.zeros((nr, nz))
+    w_in[1:, :] = (d_face[:, None] * grid.rface[:, None] * dz
+                   / np.diff(grid.r)[:, None])
+    add(jj > 0, (jj - 1) * nz + ii, w_in)
+    w_out = np.zeros((nr, nz))
+    w_out[:-1, :] = (d_face[:, None] * grid.rface[:, None] * dz
+                     / np.diff(grid.r)[:, None])
+    add(jj < nr - 1, (jj + 1) * nz + ii, w_out)
+    # axial neighbours
+    w_z = d_cv[jj] * grid.area[jj] / dz
+    add(ii > 0, jj * nz + (ii - 1), w_z)
+    add(ii < nz - 1, jj * nz + (ii + 1), w_z)
+
+    return sp.csr_matrix(
+        sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(nr * nz, nr * nz)))

@@ -20,17 +20,37 @@ import evla
 from evla import fdoracle as fd
 from evla.fluence import assemble_and_solve
 from evla.params import Region, default_params, derive_optics, preset_params
+from oracles import stencil
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    # only the residual probe's stencil and the u > 0 transient need it
+def test_import_leaves_scipy_sparse_unloaded(tmp_path):
+    # the CLI's closed-form commands and the u = 0 oracle solves run on
+    # numpy alone; only the u > 0 transient imports scipy.sparse.  Nor do
+    # they load numpy.ma (np.unique without return_inverse would)
     src = str(Path(evla.__file__).resolve().parents[1])
-    code = ("import sys, evla.fdoracle; "
-            "print('scipy.sparse' in sys.modules)")
+    code = """if True:
+        import sys
+        from evla import cli, fdoracle as fd
+        from evla.fluence import assemble_and_solve
+        from evla.params import default_params
+        for command in ("temperature", "fluence"):
+            assert cli.main([command, "--preset", "810-15w", "--grid",
+                             "6,5", "--times", "0,5", "--out",
+                             r"%s-" + command]) == 0
+        ps = default_params(810, 15.0)
+        sol = assemble_and_solve(ps)
+        fd.solve_steady_fluence(ps, sol, nr=24, nz=24)
+        fd.solve_steady_fluence(ps, sol, nr=24, nz=24, z_closure="zero_flux")
+        fd.fluence_residual_probe(ps, sol, nr=24, nz=24)
+        fd.solve_transient_temperature(ps, sol, nr=24, nz=20, dt=0.5,
+                                       snapshot_times=(1.0,))
+        print(sorted(m for m in sys.modules
+                     if m.split(".")[0] == "scipy" or m == "numpy.ma"))
+    """ % (tmp_path / "out")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 # --- grids -------------------------------------------------------------------
@@ -71,6 +91,54 @@ def test_annulus_grid_starts_at_fiber(ps810):
     assert grid.lo[0] == geo.r_f
 
 
+# --- the separable operator ----------------------------------------------------
+
+@pytest.mark.parametrize("nodes", [25, 141, 151, 301])
+@pytest.mark.parametrize("ends", ["neumann", "pinned"])
+def test_axial_basis_matches_lapack(ends, nodes):
+    # the line of _line_factors' axial second difference, or its block
+    # without the two end nodes; eigenvalues against LAPACK's, relative to
+    # the spectrum's scale (LAPACK's small eigenvalues carry absolute
+    # errors of order eps |T|, and the smallest Neumann one is 0)
+    from scipy.linalg import eigh_tridiagonal
+
+    t_diag = np.full(nodes, 2.0)
+    t_diag[[0, -1]] = 1.0
+    if ends == "pinned":
+        t_diag = t_diag[1:-1]
+    off = -np.ones(t_diag.size - 1)
+    lam, q = fd._axial_basis(t_diag)
+    want, q_ref = eigh_tridiagonal(t_diag, off)
+    assert np.max(np.abs(lam - want)) <= 1e-13 * want[-1]
+    t = np.diag(t_diag) + np.diag(off, 1) + np.diag(off, -1)
+    qtq = q.T @ t @ q
+    assert np.max(np.abs(qtq - np.diag(lam))) <= 1e-13 * want[-1]
+    np.testing.assert_allclose(q.T @ q, np.eye(t_diag.size), rtol=0.0,
+                               atol=1e-13)
+    # the same eigenvectors, up to sign (the eigenvalues are simple)
+    np.testing.assert_allclose(np.abs(q.T @ q_ref), np.eye(t_diag.size),
+                               rtol=0.0, atol=1e-9)
+
+
+def test_kronecker_operator_is_the_stencil(ps810):
+    # the residual probe applies _kron_matvec; the sparse stencil is its
+    # independent reference
+    geo = ps810.geometry
+    rng = np.random.default_rng(7)
+    for grid in (fd.make_grid(geo, 60, 40),
+                 fd.make_grid(geo, 60, 40, rmin=geo.r_f, scale=2)):
+        diff_of = {reg: ps810.derived_of(reg).D for reg in Region}
+        react_of = {reg: ps810.optics_of(reg).mu_a for reg in Region}
+        d_face, d_cv, m_cv, _ = fd._per_node_coeffs(grid, geo, diff_of,
+                                                    react_of)
+        f = rng.standard_normal(grid.shape)
+        got = fd._kron_matvec(fd._line_factors(grid, d_face, d_cv, m_cv),
+                              grid.dz, f)
+        want = (stencil(grid, d_face, d_cv, m_cv) @ f.ravel()).reshape(
+            grid.shape)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 # --- machine-exact steady balance ---------------------------------------------
 
 def test_radial_parabola_is_machine_exact(ps810):
@@ -85,7 +153,7 @@ def test_radial_parabola_is_machine_exact(ps810):
     react_of = {reg: 0.0 for reg in Region}
     d_face, d_cv, m_cv, _ = fd._per_node_coeffs(grid, geo, diff_of,
                                                 react_of, None)
-    op = fd._stencil(grid, d_face, d_cv, m_cv)
+    op = stencil(grid, d_face, d_cv, m_cv)
     rim = geo.r_s * grid.dz * h
     idx = (nr - 1) * nz + np.arange(nz)
     op = (op + sp.coo_matrix((np.full(nz, rim), (idx, idx)),
@@ -141,7 +209,7 @@ def test_z_zero_flux_breaks_at_tip_plane(ps810, sol810):
 
 
 def _sparse_steady_reference(ps, sol, out, domain, rs_closure, z_closure):
-    """The steady system assembled from _stencil with identity rows on the
+    """The steady system assembled from stencil with identity rows on the
     pinned nodes, solved by sparse LU: the reference for the separable
     solve."""
     grid = out.grid
@@ -152,7 +220,7 @@ def _sparse_steady_reference(ps, sol, out, domain, rs_closure, z_closure):
     d_face, d_cv, m_cv, s_cv = fd._per_node_coeffs(
         grid, geo, diff_of, react_of,
         src_radius=geo.r_f)
-    op = fd._stencil(grid, d_face, d_cv, m_cv)
+    op = stencil(grid, d_face, d_cv, m_cv)
     blood = derive_optics(ps.blood_optics)
     zeta = grid.z + ps.protocol.v * ps.protocol.t_end
     q = (s_cv[:, None] * sol.src.S0 * np.exp(-blood.mu_t * zeta)[None, :]
@@ -314,7 +382,7 @@ def test_transient_advection_heated_pinned():
 
 def _sparse_transient_reference(ps, sol, grid, dt, times, heating,
                                 rim_scale=1.0):
-    """The u = 0 backward-Euler steps assembled from _stencil, the Robin
+    """The u = 0 backward-Euler steps assembled from stencil, the Robin
     rim (times rim_scale) and mass/dt, solved by sparse LU: the reference
     for the separable transient."""
     geo, proto = ps.geometry, ps.protocol
@@ -325,7 +393,7 @@ def _sparse_transient_reference(ps, sol, grid, dt, times, heating,
     rho_cp_of = {reg: ps.thermal_of(reg).rho_cp for reg in Region}
     d_face, d_cv, m_cv, _ = fd._per_node_coeffs(grid, geo, diff_of, react_of)
     _, _, rho_cp_cv, _ = fd._per_node_coeffs(grid, geo, diff_of, rho_cp_of)
-    op = fd._stencil(grid, d_face, d_cv, m_cv)
+    op = stencil(grid, d_face, d_cv, m_cv)
     rim = rim_scale * geo.r_s * grid.dz * proto.h_air
     idx = (nr - 1) * nz + np.arange(nz)
     mass = np.repeat(rho_cp_cv * grid.area * grid.dz, nz)
