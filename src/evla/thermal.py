@@ -21,7 +21,9 @@ The temperature is assembled from three ingredients:
    Theta at t = 0 so the assembled field starts from uniform T_b.  Modes
    are zero at r_i, Robin-coupled to the air at r_s, continuous in value
    and conductive flux at the internal interfaces, and decay with their
-   own eigenrates.
+   own eigenrates.  Their amplitudes are the orthogonal projection of
+   -Theta, in closed form from Green's identity and Lommel's integral
+   (project_initial); the truncated sum leaves a residual at r_s.
 
 Every term is a radial profile times an axial and a time factor
 (Mikhailov & Ozisik's composite-medium construction, see layered.py).
@@ -68,8 +70,6 @@ _SEED_MAX_UNKNOWNS = 2000
 # 200th only 5e-3)
 _WINDOW_FIRST = 4e-6
 _WINDOW_LAST = 1e-2
-# Simpson intervals per tissue zone in the projection quadrature
-_N_PER_REGION = 512
 
 
 class ThermalError(RuntimeError):
@@ -80,10 +80,6 @@ class BracketExhausted(ThermalError):
     """The mode search failed to bracket, or to prove, every mode: a
     seed's widest window held no root, or a mode has the wrong number of
     sign changes."""
-
-
-class RankDeficient(ThermalError):
-    """The modal projection system lost rank."""
 
 
 def growth_bracket(a, b, t):
@@ -490,41 +486,43 @@ def _build_modes(ps, u):
 
 
 def project_initial(ps: ParameterSet, modes, offset: OffsetProfile):
-    """Amplitudes c_m with sum c_m R_m ~ -Theta over [r_i, r_s].
-
-    Weighted least squares in the relaxation problem's natural inner
-    product (weight rho c_p r); composite-Simpson quadrature with
-    _N_PER_REGION intervals per material.  Returns (c, residual_max,
+    """Amplitudes c_m with sum c_m R_m ~ -Theta over [r_i, r_s], in closed
+    form from edge values and derivatives.  Returns (c, residual_max,
     residual_l2).
+
+    The modes are orthogonal in the weight rho c_p r, so c_m = -<Theta,
+    R_m> / N_m.  Green's identity against the offset (the same operator at
+    u = 0, zero at r_i, k Theta' + h Theta = h gamma at r_s) leaves only its
+    Robin data, <Theta, R_m> = -r_s h gamma R_m(r_s) / zeta_m (Mikhailov &
+    Ozisik, 1984).  Where R = a Z0(q r) + b W0(q r), Lommel's integral is
+    int r R^2 dr = (r^2 / 2)(R^2 +- (R' / q)^2), + for J0/Y0, - for I0/K0
+    (Watson, *Theory of Bessel Functions*, 1944, sec. 5.11); N_m and
+    ||Theta||^2 sum it times rho c_p over the zones.  residual_l2 is
+    ||Theta + sum c_m R_m|| / ||Theta||, by Parseval; residual_max is the
+    largest |Theta + sum c_m R_m| at r_i, r_w, r_p and r_s.  Raises
+    ThermalError unless every c_m and N_m is finite and every N_m > 0.
     """
-    edges = ps.geometry.edges[OUTER_FIRST:]
-    rs, ws = [], []
-    for reg, lo, hi in zip(OUTER, edges, edges[1:]):
-        n = _N_PER_REGION
-        r = np.linspace(lo, hi, n + 1)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= (hi - lo) / n / 3.0
-        w *= ps.thermal_of(reg).rho_cp * r
-        rs.append(r)
-        ws.append(w)
-    r = np.concatenate(rs)
-    w = np.concatenate(ws)
-    table = stack([offset.profile] + [m.profile for m in modes]).values(r)
-    target = -table[0]
-    basis = table[1:]                                 # (M, N)
-    gram = (basis * w) @ basis.T
-    rhs = (basis * w) @ target
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e10:
-        raise RankDeficient("projection Gram matrix cond ~ %.3e" % cond)
-    c = np.linalg.solve(gram, rhs)
-    resid = basis.T @ c - target
-    res_max = float(np.max(np.abs(resid)))
-    res_l2 = float(np.sqrt(np.sum(w * resid ** 2)
-                           / max(np.sum(w * target ** 2), 1e-300)))
-    return c, res_max, res_l2
+    prof = stack([offset.profile] + [m.profile for m in modes])
+    val = prof.at_edges()                           # (zones, 1 + M, 2)
+    r = np.asarray(ps.geometry.edges[OUTER_FIRST:])
+    sign = np.where(prof.kind == JY, 1.0, -1.0)[..., None]
+    rho_cp = np.array([ps.thermal_of(reg).rho_cp for reg in OUTER])
+    zeta = np.array([m.zeta for m in modes])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = prof.at_edges(deriv=True) / prof.q[..., None]
+        lommel = (0.5 * np.stack([r[:-1], r[1:]], -1)[:, None] ** 2
+                  * (val * val + sign * slope * slope))
+        norm = rho_cp @ (lommel[..., 1] - lommel[..., 0])  # (1 + M,)
+        c = (ps.geometry.r_s * ps.protocol.h_air * offset.gamma
+             * val[-1, 1:, 1] / (zeta * norm[1:]))
+    ok = np.isfinite(c) & np.isfinite(norm[1:]) & (norm[1:] > 0.0)
+    if not ok.all():
+        raise ThermalError("modal projection failed: a non-finite amplitude "
+                           "or norm, or a norm <= 0, at modes %s"
+                           % np.nonzero(~ok)[0].tolist())
+    resid = val[:, 0] + c @ val[:, 1:]                # (zones, 2)
+    res_l2 = math.sqrt(max(1.0 - np.sum(c * c * norm[1:]) / norm[0], 0.0))
+    return c, float(np.max(np.abs(resid))), res_l2
 
 
 # ---------------------------------------------------------------------------

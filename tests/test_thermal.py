@@ -18,8 +18,8 @@ import pytest
 
 from evla import params, thermal
 from evla.fluence import DomainError
-from evla.layered import stack
-from evla.params import Region
+from evla.layered import IK, stack
+from evla.params import OUTER, Region
 from evla.thermal import (BracketExhausted, build_temperature,
                           forcing_rates, growth_bracket, modal_eigenvalues,
                           project_initial, steady_robin_offset)
@@ -389,29 +389,34 @@ def test_mode_normalization(ps810, modes810):
         assert m.profile.derivs(geo.r_i)[0] > 0
 
 
+def simpson_rule(ps, n):
+    """(r, w): composite-Simpson radii and weights over the wall, pad and
+    skin, n intervals each, in the relaxation problem's weight rho c_p r."""
+    geo = ps.geometry
+    rs, ws = [], []
+    for reg, lo, hi in ((Region.WALL, geo.r_i, geo.r_w),
+                        (Region.PAD, geo.r_w, geo.r_p),
+                        (Region.SKIN, geo.r_p, geo.r_s)):
+        r = np.linspace(lo, hi, n + 1)
+        w = np.ones(n + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        w *= (hi - lo) / n / 3.0 * ps.thermal_of(reg).rho_cp * r
+        rs.append(r)
+        ws.append(w)
+    return np.concatenate(rs), np.concatenate(ws)
+
+
 def test_mode_orthogonality(ps810, modes810):
-    geo = ps810.geometry
     pairs = [(0, 1), (0, 5), (3, 11), (10, 19)]
+    r, w = simpson_rule(ps810, 1024)
+    vals = stack([m.profile for m in modes810]).values(r)
 
-    def inner(a, b):
-        tot = 0.0
-        for reg, lo, hi in ((Region.WALL, geo.r_i, geo.r_w),
-                            (Region.PAD, geo.r_w, geo.r_p),
-                            (Region.SKIN, geo.r_p, geo.r_s)):
-            n = 1024
-            r = np.linspace(lo, hi, n + 1)
-            w = np.ones(n + 1)
-            w[1:-1:2] = 4.0
-            w[2:-1:2] = 2.0
-            w *= (hi - lo) / n / 3.0 * ps810.thermal_of(reg).rho_cp * r
-            tot += float(np.sum(w * a.profile.values(r)[0]
-                                * b.profile.values(r)[0]))
-        return tot
+    def inner(i, j):
+        return float(np.sum(w * vals[i] * vals[j]))
 
-    norms = {i: inner(modes810[i], modes810[i])
-             for i in set(i for p in pairs for i in p)}
     for i, j in pairs:
-        rel = inner(modes810[i], modes810[j]) / math.sqrt(norms[i] * norms[j])
+        rel = inner(i, j) / math.sqrt(inner(i, i) * inner(j, j))
         assert abs(rel) < 1e-8, (i, j)
 
 
@@ -423,6 +428,59 @@ def test_projection_cancels_offset(ps810, modes810, offset810):
     assert res_l2 < 0.01
     # amplitude sequence decays overall
     assert abs(c[0]) > abs(c[-1])
+
+
+@pytest.mark.parametrize("broken", ["zero profile", "zero rate"])
+def test_projection_refuses_a_degenerate_mode(ps810, modes810, offset810,
+                                              broken):
+    m = modes810[3]
+    if broken == "zero profile":
+        m = replace(m, profile=replace(m.profile, a=0.0 * m.profile.a,
+                                       b=0.0 * m.profile.b))
+    else:
+        m = replace(m, zeta=0.0)
+    with pytest.raises(thermal.ThermalError, match=r"at modes \[3\]"):
+        project_initial(ps810, modes810[:3] + [m] + modes810[4:], offset810)
+
+
+# 810-15w, then three changes to it that put mode 0 in an I0/K0 zone
+# (Lommel's integral with the minus sign), which no preset reaches: in the
+# wall, the pad and the skin
+@pytest.mark.parametrize("reg, factor", [
+    (None, 1.0), (Region.WALL, 3.0), (Region.PAD, 3.0), (Region.SKIN, 10.0)])
+def test_projection_matches_quadrature(ps810, reg, factor):
+    ps = ps810
+    if reg:
+        th = ps.thermal_of(reg)
+        ps = replace(ps, thermal={**ps.thermal,
+                                  reg: replace(th, omega=factor * th.omega)})
+    offset = steady_robin_offset(ps)
+    modes = modal_eigenvalues(ps, n_modes=20)
+    if reg:
+        assert modes[0].profile.kind[OUTER.index(reg), 0] == IK
+    c, _, res_l2 = project_initial(ps, modes, offset)
+    # independently, by orthogonality alone: c_m = -<Theta, R_m> / <R_m, R_m>
+    # in a fine quadrature, with no Gram matrix
+    r, w = simpson_rule(ps, 4096)
+    vals = stack([offset.profile] + [m.profile for m in modes]).values(r)
+    theta, basis = vals[0], vals[1:]
+    c_quad = -(basis * w) @ theta / np.sum(basis * basis * w, axis=1)
+    assert np.max(np.abs(c - c_quad)) < 1e-10 * np.max(np.abs(c_quad))
+    # Parseval against the weighted residual of the same amplitudes
+    resid = theta + c @ basis
+    l2_quad = math.sqrt(np.sum(w * resid ** 2) / np.sum(w * theta ** 2))
+    assert res_l2 == pytest.approx(l2_quad, rel=1e-8)
+
+
+def test_edge_residual_is_the_peak(all_presets):
+    for name, ps in all_presets.items():
+        offset = steady_robin_offset(ps)
+        modes = modal_eigenvalues(ps, n_modes=20)
+        c, res_max, _ = project_initial(ps, modes, offset)
+        r = np.linspace(ps.geometry.r_i, ps.geometry.r_s, 20000)
+        vals = stack([offset.profile] + [m.profile for m in modes]).values(r)
+        sampled = np.max(np.abs(vals[0] + c @ vals[1:]))
+        assert sampled <= res_max * (1.0 + 1e-9), name
 
 
 # --- assembled field -----------------------------------------------------------
@@ -572,8 +630,8 @@ def test_build_temperature_rejects_bad_mode(ps810, sol810):
 
 @pytest.mark.parametrize("n_modes", [0, -3])
 def test_build_temperature_rejects_empty_mode_set(ps810, sol810, n_modes):
-    # an empty mode set cannot carry the uniform start; the projection
-    # would otherwise fail inside numpy.linalg
+    # an empty mode set cannot carry the uniform start: the projection
+    # would return no amplitudes and leave the whole offset at t = 0
     assert thermal.modal_eigenvalues(ps810, n_modes=n_modes) == []
     with pytest.raises(thermal.ThermalError, match="n_modes"):
         build_temperature(ps810, sol810, n_modes=n_modes)
