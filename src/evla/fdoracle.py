@@ -16,21 +16,25 @@ conservative scheme has no such sheet; against it the full-domain field
 carries an irreducible ~2% L2 gap (the `domain="full"` option measures
 exactly that number).
 
-The steady system is solved by separation of variables rather than by a
-general sparse factorization.  The FV coefficients depend on r alone, so
-the 5-point operator is a Kronecker sum dz R (x) I + D (x) T/dz of a
-radial tridiagonal R (flux plus reaction), the CV axial weights D and the
-1-D axial second difference T; every closure pins whole grid lines, so
-the free block keeps that form.  T's eigenvectors are the closed-form
-cosine (DCT-II, Neumann ends) or sine (DST-I, pinned ends) transforms, and
-one dense symmetric eigensolve gives R's; two transforms each way and a
-pointwise divide then give the exact discrete solution (the tensor-product
-method of Lynch, Rice & Thomas, Numer. Math. 6 (1964)).  The backward-Euler
-transient with still blood (u = 0) is the same Kronecker sum: the mass/dt
-and the Robin rim only add to R's diagonal, and no line is pinned.  It is
-diagonalised once and each step costs two transforms each way.  Flowing
-blood (u > 0) adds a third Kronecker term, the lumen-only upwind axial
-difference, which does not commute with T, so no single axial basis
+The steady solves and the still-blood (u = 0) transient use separation of
+variables rather than a general sparse factorization.  The FV
+coefficients depend on r alone, so the 5-point operator is a Kronecker
+sum dz R (x) I + D (x) T/dz of a radial tridiagonal R (flux plus
+reaction), the CV axial weights D and the 1-D axial second difference T;
+every closure pins whole grid lines, so the free block keeps that form.  T's eigenvectors Q are the closed-form cosine
+(DCT-II, Neumann ends) or sine (DST-I, pinned ends) transforms.  The
+steady system, solved once, needs no radial eigenbasis: after b -> b Q
+each axial mode k is one symmetric positive definite tridiagonal system
+(dz R + lam_k D/dz) x_k = (b Q)_k, and the Thomas algorithm solves them
+all together before x -> x Q'.  The backward-Euler transient with still
+blood (u = 0) is the same Kronecker sum, since the mass/dt and the Robin
+rim only add to R's diagonal and no line is pinned.  It is diagonalised
+once, R V = D V diag(mu) by one dense symmetric eigensolve (the
+tensor-product method of Lynch, Rice & Thomas, Numer. Math. 6 (1964)),
+and the steps stay in that eigenbasis: each costs one radial product
+with a fixed nr x nr matrix, and only snapshots return to the grid.
+Flowing blood (u > 0) adds a third Kronecker term, the lumen-only upwind
+axial difference, which does not commute with T, so no single axial basis
 diagonalises the operator; that case keeps one sparse LU factorization,
 reused at every time step.  scipy (scipy.sparse) is imported only there.
 """
@@ -87,7 +91,13 @@ def region_counts(geo, nr, rmin=0.0):
 def make_grid(geo, nr, nz, rmin=0.0, scale=1) -> Grid2D:
     """Tensor grid over [rmin, r_s] x [-L, L]: region_counts(geo, nr, rmin)
     radial cells per region, nz axial cells; scale=2 produces the grid
-    exactly once refined."""
+    exactly once refined.  nr >= 1, nz >= 2 and scale >= 1 must be
+    integers."""
+    for name, value, least in (("nr", nr, 1), ("nz", nz, 2),
+                               ("scale", scale, 1)):
+        if not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError("%s must be an integer >= %d, got %r"
+                             % (name, least, value))
     edges = _region_edges(geo, rmin)
     counts = region_counts(geo, nr, rmin) * scale
     nz = nz * scale
@@ -192,33 +202,50 @@ def _axial_basis(t_diag):
     return 4.0 * np.sin(0.5 * theta) ** 2, q
 
 
-def _separable_factor(factors, dz, rows, cols):
-    """Diagonalise the block rows x cols (two slices with explicit bounds)
+def _separable_solve(factors, dz, rows, cols, b):
+    """A^-1 b on the block rows x cols (two slices with explicit bounds)
     of A, given by its _line_factors.
 
-    On the block the Kronecker sum diagonalises as R V = D V diag(mu) with
-    V' D V = I and T Q = Q diag(lam), so A^-1 b = V [(V' b Q) / (dz mu +
-    lam/dz)] Q' (Lynch, Rice & Thomas, Numer. Math. 6 (1964)).  Q and lam
-    are closed forms (_axial_basis); V and mu come from one dense symmetric
-    eigensolve of D^-1/2 R D^-1/2.  Returns (V, Q, divisor) for
-    _separable_apply.
+    With T Q = Q diag(lam) (_axial_basis) the block decouples into one
+    tridiagonal system per axial mode k, (dz R + lam_k D/dz) x_k = (b Q)_k,
+    and A^-1 b = [x_k] Q'.  The Thomas algorithm solves every mode's system
+    together, one row of the block at a time.  R's reaction diagonal is
+    positive and D > 0, so each system is symmetric positive definite and
+    needs no pivoting.
     """
     r_diag, r_off, d_w, t_diag, _ = factors
     lam, q = _axial_basis(t_diag[cols])
-    scale = 1.0 / np.sqrt(d_w[rows])
+    diag = dz * r_diag[rows, None] + d_w[rows, None] * lam[None, :] / dz
+    off = dz * r_off[rows.start:rows.stop - 1]
+    x = b @ q
+    ratio = np.empty_like(x[:-1])
+    pivot = diag[0]
+    x[0] /= pivot
+    for j in range(1, x.shape[0]):
+        ratio[j - 1] = off[j - 1] / pivot
+        pivot = diag[j] - off[j - 1] * ratio[j - 1]
+        x[j] = (x[j] - off[j - 1] * x[j - 1]) / pivot
+    for j in range(x.shape[0] - 2, -1, -1):
+        x[j] -= ratio[j] * x[j + 1]
+    return x @ q.T
+
+
+def _separable_factor(factors, dz):
+    """Diagonalise A, given by its _line_factors, on the whole grid.
+
+    The Kronecker sum diagonalises as R V = D V diag(mu) with V' D V = I
+    and T Q = Q diag(lam), so A (V Y Q') = D V (den Y) Q' with den = dz mu
+    + lam/dz, elementwise (Lynch, Rice & Thomas, Numer. Math. 6 (1964)).  Q
+    and lam are closed forms (_axial_basis); V and mu come from one dense
+    symmetric eigensolve of D^-1/2 R D^-1/2.  Returns (V, Q, den).
+    """
+    r_diag, r_off, d_w, t_diag, _ = factors
+    lam, q = _axial_basis(t_diag)
+    scale = 1.0 / np.sqrt(d_w)
     # eigh reads the lower triangle only
-    mu, w = np.linalg.eigh(np.diag(r_diag[rows] * scale * scale)
-                           + np.diag(r_off[rows.start:rows.stop - 1]
-                                     * scale[:-1] * scale[1:], -1))
+    mu, w = np.linalg.eigh(np.diag(r_diag * scale * scale)
+                           + np.diag(r_off * scale[:-1] * scale[1:], -1))
     return scale[:, None] * w, q, dz * mu[:, None] + lam[None, :] / dz
-
-
-def _separable_apply(basis, b):
-    """A^-1 b on the block of a _separable_factor basis: two transforms
-    each way and one pointwise divide."""
-    v, q, den = basis
-    y = (v.T @ b @ q) / den
-    return v @ y @ q.T
 
 
 def _advected_lu(factors, dz, adv):
@@ -335,8 +362,7 @@ def solve_steady_fluence(ps: ParameterSet, sol, nr=300, nz=300,
     phi = vals.copy()
     phi[rows, cols] = 0.0
     b = (q - _kron_matvec(factors, grid.dz, phi))[rows, cols]
-    phi[rows, cols] = _separable_apply(
-        _separable_factor(factors, grid.dz, rows, cols), b)
+    phi[rows, cols] = _separable_solve(factors, grid.dz, rows, cols, b)
     free = np.zeros((nrn, nzn), dtype=bool)
     free[rows, cols] = True
 
@@ -467,8 +493,12 @@ def solve_transient_temperature(ps: ParameterSet, sol, nr=200, nz=220,
     Each step solves (M/dt + A + Robin) T = M T_old/dt + sources.  With
     u = 0 the mass and the Robin rim are radial diagonals, so the matrix
     is the steady solve's Kronecker sum with R' = R + diag(rho c_p area/dt)
-    + r_s h e_last: it is diagonalised once, and each step is two
-    transforms each way and a divide.  With u > 0 the lumen advection adds
+    + r_s h e_last: it is diagonalised once, T = V Y Q', and the steps
+    stay in the eigenbasis, Y <- (G Y + V' rhs Q) / den with G = V'
+    diag(rho c_p area dz/dt) V.  The fixed sources are transformed once,
+    and the heating, rank two in (r, z), one factor at a time: its radial
+    rows once, its axial rows per step.  Only snapshot steps return to
+    the grid.  With u > 0 the lumen advection adds
     a third Kronecker term, diag(lumen) (x) upwind difference, which does
     not commute with T; that matrix gets one sparse LU factorization,
     reused at every step.
@@ -516,38 +546,63 @@ def solve_transient_temperature(ps: ParameterSet, sol, nr=200, nz=220,
                           nzn, axis=1)
     rhs_fixed[-1] += geo.r_s * grid.dz * proto.h_air * proto.T_air
 
+    # the heating mu_a phi per CV is rank two in (r, z): the radial rows
+    # heat_r[f] times the axial factors e^{-mu_f zeta} ahead of the tip
+    heat_r = None
+    if heating == "analytic_fluence":
+        mu_a_node = np.array([ps.optics_of(reg).mu_a for reg in Region])[
+            region_index(grid.r, geo)]
+        heat_r = (mu_a_node * grid.area * grid.dz
+                  * sol.radial.values(grid.r))
+        rates = np.asarray(sol.axial)[:, None]
+
+        def heat_z(t):
+            zeta = grid.z + proto.v * t
+            return np.where(zeta < 0.0, 0.0, np.exp(-rates * zeta))
+
+    temp = np.full((nrn, nzn), proto.T_b)
     if proto.u > 0.0:
         # upwind advection, lumen nodes only, flow toward +z
         lu = _advected_lu(factors, grid.dz, np.where(
             grid.r < geo.r_i, ps.blood_thermal.rho_cp * proto.u * grid.area,
             0.0))
 
-        def solve(rhs):
+        def advance(temp, t):
+            rhs = mass / dt * temp + rhs_fixed
+            if heat_r is not None:
+                rhs += heat_r.T @ heat_z(t)
             return lu.solve(rhs.ravel()).reshape(nrn, nzn)
+
+        def on_grid(temp):
+            return temp
+        state = temp
     else:
-        basis = _separable_factor(factors, grid.dz, slice(0, nrn),
-                                  slice(0, nzn))
+        # T = V Y Q' and V^-1 = V' D (D = factors[2]): each step is
+        # Y <- (G Y + V' rhs Q)/den with G = V' diag(mass/dt) V, and the
+        # heating transformed factor by factor
+        v, q, den = _separable_factor(factors, grid.dz)
+        gain = v.T @ (mass / dt * v)
+        fixed = v.T @ rhs_fixed @ q
+        if heat_r is not None:
+            heat_v = v.T @ heat_r.T
 
-        def solve(rhs):
-            return _separable_apply(basis, rhs)
+        def advance(y, t):
+            rhs = gain @ y + fixed
+            if heat_r is not None:
+                rhs += heat_v @ (heat_z(t) @ q)
+            return rhs / den
 
-    mu_a_node = np.array([ps.optics_of(reg).mu_a for reg in Region])[
-        region_index(grid.r, geo)]
-    cell = grid.area[:, None] * grid.dz
-    if heating == "analytic_fluence":
-        profiles = sol.radial.values(grid.r)
+        def on_grid(y):
+            return v @ y @ q.T
+        state = v.T @ (factors[2][:, None] * temp) @ q
 
     # snapshots per step index; the fields are never written in place
     per_step = np.bincount(marks.astype(int))
-    temp = np.full((nrn, nzn), proto.T_b)
     shots = [temp] * per_step[0]
     for n in range(1, per_step.size):
-        rhs = mass / dt * temp + rhs_fixed
-        if heating == "analytic_fluence":
-            phi = _analytic_on_grid(sol, grid, n * dt, profiles)
-            rhs = rhs + mu_a_node[:, None] * phi * cell
-        temp = solve(rhs)
-        shots += [temp] * per_step[n]
+        state = advance(state, n * dt)
+        if per_step[n]:
+            shots += [on_grid(state)] * per_step[n]
     return TransientResult(grid=grid, times=snapshot_times,
                            snapshots=np.array(shots),
                            seconds=time.perf_counter() - t0)

@@ -258,6 +258,18 @@ def test_separable_solve_matches_sparse_direct(ps810, sol810, domain,
     assert gap <= 1e-12, gap
 
 
+@pytest.mark.parametrize("domain", ["annulus", "full"])
+def test_one_column_free_block_matches_sparse_direct(ps810, sol810, domain):
+    # nz = 2 with both z ends pinned leaves one free grid column: the
+    # narrowest block the per-mode tridiagonal sweep solves
+    out = fd.solve_steady_fluence(ps810, sol810, nr=30, nz=2, domain=domain)
+    assert out.grid.shape[1] == 3
+    want = _sparse_steady_reference(ps810, sol810, out, domain, "trace",
+                                    "trace")
+    gap = np.linalg.norm(out.phi_fd - want) / np.linalg.norm(want)
+    assert gap <= 1e-12, gap
+
+
 def test_reference_field_is_the_closed_form(ps810, sol810, temp810):
     # the oracle's reference is sol.eval ahead of the tip and 0 behind it,
     # in the steady frame (t_end) and at t = 2.5, where most of the grid
@@ -286,6 +298,23 @@ def test_unknown_options_raise(ps810, sol810):
     with pytest.raises(ValueError):
         fd.solve_steady_fluence(ps810, sol810, nr=24, nz=24,
                                 z_closure="mirror")
+
+
+@pytest.mark.parametrize("change, match", [
+    (dict(nz=0), "nz must"),
+    (dict(nz=1), "nz must"),
+    (dict(nz=24.0), "nz must"),
+    (dict(nr=0), "nr must"),
+    (dict(nr=-5), "nr must"),
+    (dict(scale=0), "scale must"),
+    (dict(scale=1.5), "scale must"),
+], ids=["nz-zero", "nz-one", "nz-float", "nr-zero", "nr-neg", "scale-zero",
+        "scale-float"])
+def test_steady_rejects_bad_grids(ps810, sol810, change, match):
+    args = dict(nr=24, nz=24)
+    args.update(change)
+    with pytest.raises(ValueError, match=match):
+        fd.solve_steady_fluence(ps810, sol810, **args)
 
 
 # --- truncation-order probe ------------------------------------------------------
@@ -443,6 +472,24 @@ def test_separable_transient_matches_sparse_lu(heating, h_air, dt):
     assert max(gaps(1.0 + 1e-9)) > 1e-12, gaps(1.0 + 1e-9)
 
 
+def test_separable_transient_snapshots_split_cleanly(ps810, sol810):
+    # the u = 0 steps stay in the eigenbasis and return to the grid only at
+    # snapshot steps: extra snapshots must not change the state carried on
+    out = fd.solve_transient_temperature(ps810, sol810, nr=30, nz=24,
+                                         dt=0.5,
+                                         snapshot_times=(1.0, 4.0, 8.0))
+    alone = fd.solve_transient_temperature(ps810, sol810, nr=30, nz=24,
+                                           dt=0.5, snapshot_times=(4.0,))
+    gap = np.max(np.abs(out.snapshots[1] - alone.snapshots[0]))
+    assert gap <= 1e-13 * np.max(np.abs(alone.snapshots[0])), gap
+    twice = fd.solve_transient_temperature(ps810, sol810, nr=30, nz=24,
+                                           dt=0.5,
+                                           snapshot_times=(4.0, 2.0, 4.0))
+    np.testing.assert_allclose(twice.times, [2.0, 4.0, 4.0])
+    np.testing.assert_array_equal(twice.snapshots[1], twice.snapshots[2])
+    np.testing.assert_array_equal(twice.snapshots[2], alone.snapshots[0])
+
+
 @pytest.mark.parametrize("change, match", [
     (dict(heating="analytic"), "unknown heating"),
     (dict(heating="analytic_fluence", sol=None), "needs a fluence"),
@@ -454,8 +501,13 @@ def test_separable_transient_matches_sparse_lu(heating, h_air, dt):
     (dict(snapshot_times=(np.nan,)), "snapshot_times must"),
     (dict(snapshot_times=(-1.0, 1.0)), "snapshot_times must"),
     (dict(dt=0.4, snapshot_times=(1.0,)), "whole multiples"),
+    (dict(nz=0), "nz must"),
+    (dict(nz=1), "nz must"),
+    (dict(nr=-5), "nr must"),
+    (dict(nr=24.5), "nr must"),
 ], ids=["heating", "no-sol", "dt-neg", "dt-zero", "dt-nan", "dt-inf",
-        "times-empty", "times-nan", "times-neg", "times-off-step"])
+        "times-empty", "times-nan", "times-neg", "times-off-step", "nz-zero",
+        "nz-one", "nr-neg", "nr-float"])
 def test_transient_rejects_bad_inputs(ps810, sol810, change, match):
     args = dict(sol=sol810, nr=24, nz=20, dt=0.5, snapshot_times=(1.0,),
                 heating="none")
