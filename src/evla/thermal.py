@@ -63,12 +63,11 @@ _SEED_HALF_WAVES = 6
 # the largest seed problem (about 580 modes on the built-in tables): a
 # dense eigensolve on more unknowns takes seconds
 _SEED_MAX_UNKNOWNS = 2000
-# the first and the widest half-width of the window around each seed,
-# relative to the seed; the widest is also held below 0.4 of the gap to
-# the nearer neighbouring seed, so that no two windows overlap (the first
-# 20 roots of the built-in tables lie at least 4.9e-2 apart relative, the
-# 200th only 5e-3)
-_WINDOW_FIRST = 4e-6
+# the widest half-width of the window around each seed, relative to the
+# seed, within which its root and every secant iterate must lie; it is
+# also held below 0.4 of the gap to the nearer neighbouring seed, so that
+# no two windows overlap (the first 20 roots of the built-in tables lie at
+# least 4.9e-2 apart relative, the 200th only 5e-3)
 _WINDOW_LAST = 1e-2
 
 
@@ -77,9 +76,9 @@ class ThermalError(RuntimeError):
 
 
 class BracketExhausted(ThermalError):
-    """The mode search failed to bracket, or to prove, every mode: a
-    seed's widest window held no root, or a mode has the wrong number of
-    sign changes."""
+    """The mode search failed to find, or to prove, every mode: a root or
+    a secant iterate left its seed's window, or a mode has the wrong
+    number of sign changes."""
 
 
 def growth_bracket(a, b, t):
@@ -253,8 +252,8 @@ def _gll(p):
 def _seed_roots(ps, n_modes):
     """Seeds of the first n_modes + 1 roots u from a discrete
     Sturm-Liouville problem (Pryce, *Numerical Solution of Sturm-Liouville
-    Problems*, 1993); the last is only read by _widest_windows and
-    _check_count.
+    Problems*, 1993); the last is only read by _widest_windows, where it
+    bounds the window of the last mode.
 
     The relaxation problem -(r k R')' + c_b omega r R = u^2 rho c_p r R on
     [r_i, r_s], with R(r_i) = 0 and r k R' + r h R = 0 at r_s, is
@@ -314,116 +313,47 @@ def _widest_windows(seeds):
     return np.minimum(_WINDOW_LAST, 0.4 * near / seeds)
 
 
-def _bracket(ps, seeds, widest):
-    """(a, b, f(a), f(b)): one sign change of the determinant f around
-    each seed, a == b where f is exactly zero there.
+def _check_windows(seeds, widest, u, modes):
+    """BracketExhausted unless every u lies within seed (1 +- widest) of
+    its seed; modes names the mode of each entry in the message."""
+    out = ~(np.abs(u - seeds) <= widest * seeds)        # nan is outside
+    if out.any():
+        raise BracketExhausted(
+            "the roots of modes %s left their seeds' windows: a root was "
+            "missed or found twice" % modes[out].tolist())
 
-    Every window starts at seed (1 +- _WINDOW_FIRST) and widens tenfold
-    while it holds no sign change, up to seed (1 +- widest), widest from
-    _widest_windows; one stacked determinant per round evaluates the ends
-    of every open window.  A window is split where it straddles a basis
-    switch, where a region's radial character flips between oscillatory
-    and evanescent and the determinant jumps.
+
+def _refine(ps, seeds, widest):
+    """Roots u of the determinant f, one within each seed's window
+    seed (1 +- widest), refined together by the secant method.
+
+    Every root starts from its seed and seed (1 + 1e-9); each step then
+    evaluates f at the new iterate of every root not yet done, in one
+    stacked determinant call.  A root is done once a step moves it by less
+    than 1e-14 (1 + u) (brentq's stopping test, with xtol and rtol 1e-14)
+    or once f is exactly zero there.  An iterate that leaves its seed's
+    window raises BracketExhausted (_check_windows).
     """
-    c_b = ps.blood_thermal.c_p
-    # chi = 0 when rho_cp u^2 = c_b omega
-    switches = sorted(math.sqrt(c_b * th.omega / th.rho_cp)
-                      for th in map(ps.thermal_of, OUTER))
-    found = [None] * len(seeds)
-    rel = _WINDOW_FIRST
-    while True:
-        pieces = []                                  # (mode, lo, hi)
-        for i, (seed, most) in enumerate(zip(seeds, widest)):
-            if found[i] is not None:
-                continue
-            half = seed * min(rel, most)
-            lo, hi = seed - half, seed + half
-            ends = [lo]
-            for s in switches:
-                if lo < s < hi:
-                    ends += [s - 1e-6, s + 1e-6]
-            ends.append(hi)
-            pieces += [(i, x, y) for x, y in zip(ends[::2], ends[1::2])
-                       if x < y]
-        # a narrow window can lie wholly inside the gap around a switch
-        if pieces:
-            mode, lo, hi = np.array(pieces).T
-            f = _dets(ps, np.concatenate([lo, hi]))
-            for i, x, y, fx, fy in zip(mode.astype(int), lo, hi,
-                                       f[:lo.size], f[lo.size:]):
-                if found[i] is not None or fx * fy > 0.0:
-                    continue
-                if fx == 0.0 or fy == 0.0:
-                    x = y = x if fx == 0.0 else y
-                found[i] = (x, y, fx, fy)
-        missing = [i for i, b in enumerate(found) if b is None]
-        if not missing:
-            return np.array(found).T
-        if rel >= _WINDOW_LAST:
-            raise BracketExhausted(
-                "no sign change of the determinant within the widest "
-                "windows of the seeds of modes %s" % missing)
-        rel = min(10.0 * rel, _WINDOW_LAST)
-
-
-def _refine(ps, a, b, fa, fb):
-    """Roots of the determinant f in the brackets [a, b] (f(a) f(b) <= 0),
-    refined together.
-
-    Each step evaluates, in one stacked determinant over every unfinished
-    bracket, the regula-falsi point c, c +- eta with
-    eta = max(1e-4 (b - a), tol / 4) and the midpoint, and keeps the
-    sub-interval that changes sign.  Near a simple root c errs by far less
-    than eta, so both ends move and a bracket narrows about 1e4-fold per
-    step; where the determinant bends too much for that (near a basis
-    switch, or at the rounding floor) the midpoint still halves it.  A
-    bracket is done once narrower than tol = 1e-14 (1 + |b|) (brentq's
-    stopping test, with xtol and rtol 1e-14) or once f is exactly zero at
-    an end; u then sits within about 1e-14 of the root, so zeta does not
-    depend on the path the iteration took.
-    """
-    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    n = seeds.size
+    u = seeds * (1.0 + 1e-9)                 # the latest iterate of each root
+    f = _dets(ps, np.concatenate([seeds, u]))
+    prev, f_prev, f = seeds, f[:n], f[n:]
+    live = np.arange(n)                      # the roots not yet done
     for _ in range(100):
-        tol = 1e-14 * (1.0 + np.abs(b))
-        live = np.nonzero(b - a >= tol)[0]
-        if live.size == 0:
-            return b
-        al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
-        c = bl - fbl * (bl - al) / (fbl - fal)
-        eta = np.maximum(1e-4 * (bl - al), tol[live] / 4.0)
-        inner = np.sort(np.clip([c - eta, c, c + eta, 0.5 * (al + bl)],
-                                al, bl), axis=0)
-        x = np.vstack([al, inner, bl])
-        fx = np.vstack([fal, _dets(ps, inner.ravel()).reshape(4, -1), fbl])
-        # the first of the five sub-intervals that changes sign
-        k = np.argmax(fx[:-1] * fx[1:] <= 0.0, axis=0)
-        cols = np.arange(live.size)
-        a[live], b[live] = x[k, cols], x[k + 1, cols]
-        fa[live], fb[live] = fx[k, cols], fx[k + 1, cols]
-        # an exact zero closes its bracket
-        a = np.where(fb == 0.0, b, a)
-        b = np.where(fa == 0.0, a, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(f == 0.0, 0.0,
+                            f * (u[live] - prev) / (f - f_prev))
+        new = u[live] - step
+        _check_windows(seeds[live], widest[live], new, live)
+        prev, f_prev = u[live], f
+        u[live] = new
+        go = np.abs(step) >= 1e-14 * (1.0 + np.abs(new))
+        if not go.any():
+            return u
+        live, prev, f_prev = live[go], prev[go], f_prev[go]
+        f = _dets(ps, u[live])
     raise ThermalError("eigenvalue refinement did not converge in 100 "
                        "steps")
-
-
-def _check_count(seeds, widest, u):
-    """Check the refined roots u against their seeds (one more seed than
-    roots): exactly len(u) seeds, each lowered by its widest window
-    (1 - widest), must lie below the largest root, else BracketExhausted.
-
-    This only checks that the refinement stayed within the seeds' windows:
-    _bracket and _refine keep every root within its seed's widest window,
-    and no two of those overlap, so on their own output the count always
-    matches.  A mode that the discrete problem misses is missing from the
-    seeds too, so this count cannot see it; the Sturm check of
-    _build_modes is the only witness of a missed mode."""
-    below = int(np.count_nonzero(seeds * (1.0 - widest) < np.max(u)))
-    if below != u.size:
-        raise BracketExhausted(
-            "the discrete spectrum has %d eigenvalues below the largest "
-            "root u = %.6f, expected %d: a root was missed or found twice"
-            % (below, np.max(u), u.size))
 
 
 def modal_eigenvalues(ps: ParameterSet, n_modes=20) -> list:
@@ -431,27 +361,29 @@ def modal_eigenvalues(ps: ParameterSet, n_modes=20) -> list:
 
     Every root u = sqrt(-zeta) of the scaled interface determinant is
     seeded by a spectral-element discretisation of the relaxation problem
-    (_seed_roots, one dense eigvalsh on numpy alone), bracketed in a narrow
-    window around its seed (_bracket), and the brackets are refined
-    together (_refine); with the built-in tables the search makes five
-    stacked determinant calls.  The modes are then built together and
-    checked (_build_modes).
+    (_seed_roots, one dense eigvalsh on numpy alone) and refined from its
+    seed by the secant method, all roots together (_refine); the seeds lie
+    within 1e-11 of the roots, so on the built-in tables and the plan
+    workload's ranges the search makes two stacked determinant calls.
+    Every root must lie within its seed's window (_widest_windows), and
+    the windows do not overlap, so no root is found twice.  The modes are
+    then built together and checked (_build_modes).
 
     Raises BracketExhausted when the seed problem would be too large
     (more than _SEED_MAX_UNKNOWNS unknowns, about 580 modes on the
-    built-in tables), when a seed's widest window holds no sign change,
-    when the refined roots left their seeds' windows (_check_count), or
-    when mode n (0-based) does not change sign exactly n times on
-    (r_i, r_s]: by Sturm oscillation a root was then missed or found
-    twice.
+    built-in tables), when an iterate or a root leaves its seed's window,
+    or when mode n (0-based) does not change sign exactly n times on
+    (r_i, r_s]: by Sturm oscillation a root was then missed, which no
+    window can see (a mode the discrete problem misses is missing from the
+    seeds too).
     """
     if n_modes <= 0:
         return []
     seeds = _seed_roots(ps, n_modes)
-    widest = _widest_windows(seeds)
-    a, b, fa, fb = _bracket(ps, seeds[:-1], widest[:-1])
-    u = _refine(ps, a, b, fa, fb)
-    _check_count(seeds, widest, u)
+    widest = _widest_windows(seeds)[:-1]
+    seeds = seeds[:-1]
+    u = _refine(ps, seeds, widest)
+    _check_windows(seeds, widest, u, np.arange(n_modes))
     return _build_modes(ps, u)
 
 

@@ -93,7 +93,7 @@ def test_annulus_grid_starts_at_fiber(ps810):
 
 # --- the separable operator ----------------------------------------------------
 
-@pytest.mark.parametrize("nodes", [25, 141, 151, 301])
+@pytest.mark.parametrize("nodes", [25, 141, 151, 301, 601])
 @pytest.mark.parametrize("ends", ["neumann", "pinned"])
 def test_axial_basis_matches_lapack(ends, nodes):
     # the line of _line_factors' axial second difference, or its block

@@ -195,14 +195,19 @@ def roots21(ps810):
 def test_root_list_past_or_short_of_the_modes_is_refused(
         ps810, monkeypatch, roots21, last, below):
     # a refinement that leaves its seeds' windows: the last root replaced
-    # by the next mode's root (the list runs past mode 19) or by mode 18's
-    # (it stops short).  The seeds then count one eigenvalue too many or
-    # too few below the largest root, before any mode is built
+    # by the next mode's root (the list runs past mode 19, with 21 roots at
+    # or below its largest) or by mode 18's (it stops short, with 19).  The
+    # window check refuses both before any mode is built
     u = np.append(roots21[:19], roots21[last])
+    assert np.count_nonzero(roots21 <= u.max()) == below
     monkeypatch.setattr(thermal, "_refine", lambda *args: u.copy())
+    built = []
+    monkeypatch.setattr(thermal, "_build_modes",
+                        lambda *args: built.append(args))
     with pytest.raises(BracketExhausted,
-                       match="discrete spectrum has %d eigenvalues" % below):
+                       match=r"modes \[19\] left their seeds' windows"):
         modal_eigenvalues(ps810, n_modes=20)
+    assert not built
 
 
 def test_seeds_carry_one_witness_past_the_modes(ps810, roots21):
@@ -217,8 +222,8 @@ def test_seeds_carry_one_witness_past_the_modes(ps810, roots21):
 def test_misplaced_seed_is_recovered_or_refused(ps810, monkeypatch, mode,
                                                 shift, recovered):
     # one seed moved by a fraction of the gap to its neighbour on that
-    # side: by 1% its window widens until it holds the root again; by half
-    # a gap its widest window holds no root, and by a whole gap it lands on
+    # side: by 1% the secant still finds the root within the seed's window;
+    # by half a gap its window holds no root, and by a whole gap it lands on
     # the neighbour's seed, and the two windows, which may not overlap,
     # are too narrow to hold a root
     u_ref = np.sqrt(-np.array(ZETA_DEFAULT_STACK))
@@ -245,16 +250,18 @@ def test_more_modes_than_the_seed_grid_holds(ps810):
         modal_eigenvalues(ps810, n_modes=10 ** 4)
 
 
-def test_window_at_a_basis_switch_is_split(ps810):
-    # a seed 1e-8 above the lowest switch, where no root lies: the first
-    # windows fit inside the 1e-6 gap left at the switch, the wider ones are
-    # split there, and none changes sign
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@pytest.mark.parametrize("which", range(3))
+def test_seed_next_to_a_basis_switch_is_refused(ps810, which, side):
+    # a seed 1e-8 below or above a basis switch, where a region's radial
+    # character flips and no root lies: the determinant changes sign at
+    # the switch, but the secant leaves the seed's window
     c_b = ps810.blood_thermal.c_p
-    switch = min(math.sqrt(c_b * th.omega / th.rho_cp)
-                 for th in map(ps810.thermal_of, thermal.OUTER))
-    with pytest.raises(BracketExhausted, match="no sign change"):
-        thermal._bracket(ps810, np.array([switch + 1e-8]),
-                         np.array([thermal._WINDOW_LAST]))
+    switch = sorted(math.sqrt(c_b * th.omega / th.rho_cp)
+                    for th in map(ps810.thermal_of, thermal.OUTER))[which]
+    with pytest.raises(BracketExhausted, match="left their seeds' windows"):
+        thermal._refine(ps810, np.array([switch + side * 1e-8]),
+                        np.array([thermal._WINDOW_LAST]))
 
 
 def _plan_like(rng, wavelength):
@@ -287,10 +294,10 @@ def test_search_matches_reference_scan(monkeypatch, draw):
                         lambda ps_, u: calls.append(u.size) or dets(ps_, u))
     got = [m.zeta for m in modal_eigenvalues(ps, n_modes=20)]
     np.testing.assert_allclose(got, -roots ** 2, rtol=1e-12, atol=0.0)
-    assert len(calls) <= 8, calls
+    assert len(calls) <= 3 and sum(calls) <= 4 * 20, calls
 
 
-@pytest.mark.parametrize("n_modes", [100, 200])
+@pytest.mark.parametrize("n_modes", [100, 200, 400])
 def test_hundreds_of_modes_pass_the_sturm_check(ps810, n_modes):
     # past about 100 modes neighbouring roots lie closer than the 1%
     # widest window, so the windows shrink to keep apart
