@@ -30,6 +30,7 @@ from .damage import crit_time_table, damage_map
 from .fluence import DomainError, SolverError, assemble_and_solve
 from .params import (ConfigError, PRESETS, Region,
                      params_from_env_or_default, region_index, registry_rows)
+from .specfn import SpecFnDomainError, SpecFnOverflowError
 from .thermal import ThermalError, build_temperature
 
 EXIT_OK = 0
@@ -86,8 +87,10 @@ def _write_rows(out, *columns):
 
 def _write_field(ps, values_at, grid, times, header, out):
     """Shared CSV writer of the fluence and temperature dumps on the parsed
-    (nr, nz) grid and times: r and z are formatted once, then each time
-    slice is evaluated, formatted and written before the next."""
+    (nr, nz) grid and times.  r and z are formatted once, and the field is
+    evaluated in one call, over the (z, t) columns of every time slice side
+    by side, so that its radial table is built once; each slice is then
+    formatted and written in turn."""
     geo, proto = ps.geometry, ps.protocol
     nr, nz = grid
     r = np.linspace(0.0, geo.r_s, nr)
@@ -95,14 +98,15 @@ def _write_field(ps, values_at, grid, times, header, out):
     regions = np.array([tuple(Region)[k].value
                         for k in region_index(r, geo)])
     r_txt, z_txt = _fmt(r), _fmt(z)
+    keep = [z >= -proto.v * t - 1e-12 for t in times]
+    counts = [np.count_nonzero(k) for k in keep]
+    vals = values_at(r[:, None], np.concatenate([z[k] for k in keep]),
+                     np.repeat(times, counts))
     out.write(",".join(header) + "\n")
-    for t in times:
-        keep = z >= -proto.v * t - 1e-12
-        if not np.any(keep):
-            continue
-        vals = values_at(r[:, None], z[keep][None, :], t)
-        _write_rows(out, r_txt[:, None], z_txt[keep][None, :], _fmt(t),
-                    regions[:, None], _fmt(vals))
+    for t, k, v in zip(times, keep,
+                       np.split(vals, np.cumsum(counts)[:-1], axis=1)):
+        _write_rows(out, r_txt[:, None], z_txt[k][None, :], _fmt(t),
+                    regions[:, None], _fmt(v))
 
 
 def _cmd_fluence(ps, args, out):
@@ -252,7 +256,8 @@ def main(argv=None):
     except (ConfigError, DomainError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, ThermalError) as exc:
+    except (SolverError, ThermalError, SpecFnDomainError,
+            SpecFnOverflowError) as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
 

@@ -16,7 +16,6 @@ the shared interface assembler in layered.py.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -91,44 +90,36 @@ def build_source(protocol, blood_optics, r_f=0.3) -> SourceTerm:
     return SourceTerm(S0=s0, mu_t=d.mu_t, v=protocol.v, r_f=r_f)
 
 
-class BranchKind(enum.Enum):
-    MODIFIED = IK           # I0 / K0
-    STANDARD = JY           # J0 / Y0
+def branch_factors(ps: ParameterSet):
+    """(kind, kappa, beta): the radial wavenumbers of both families, as
+    arrays in zone order.
 
-
-@dataclass(frozen=True)
-class BranchFactors:
-    """kappa (mu_eff family) and beta (mu_t family) radial wavenumbers."""
-
-    kappa: dict     # Region -> float [1/mm], outer regions
-    w_kind: dict    # Region -> BranchKind, outer regions
-    beta: dict      # Region -> float [1/mm], annulus + outer regions
-
-
-def branch_factors(ps: ParameterSet) -> BranchFactors:
+    kind and kappa hold, per outer region, the basis (IK where mu_eff_j
+    exceeds the blood's mu_eff, JY below it) and the wavenumber of the
+    mu_eff family; beta holds the J0/Y0 wavenumber of the mu_t family in
+    the blood annulus and the outer regions.  Raises NonPositiveRadicand
+    where a radicand is not positive (kappa: zero).
+    """
     blood = derive_optics(ps.blood_optics)
-    kappa, w_kind, beta = {}, {}, {}
-
     b2 = blood.mu_t ** 2 - blood.mu_eff ** 2
     if b2 <= 0:
         raise NonPositiveRadicand(Region.BLOOD_ANNULUS, "beta", b2)
-    beta[Region.BLOOD_ANNULUS] = math.sqrt(b2)
+    kind, kappa, beta = [], [], [math.sqrt(b2)]
 
     for region in OUTER:
         mu_eff_j = ps.derived_of(region).mu_eff
         k2 = mu_eff_j ** 2 - blood.mu_eff ** 2
         if k2 == 0.0:
             raise NonPositiveRadicand(region, "kappa", k2)
-        w_kind[region] = (BranchKind.MODIFIED if k2 > 0
-                          else BranchKind.STANDARD)
-        kappa[region] = math.sqrt(abs(k2))
+        kind.append(IK if k2 > 0 else JY)
+        kappa.append(math.sqrt(abs(k2)))
 
         b2 = blood.mu_t ** 2 - mu_eff_j ** 2
         if b2 <= 0:
             raise NonPositiveRadicand(region, "beta", b2)
-        beta[region] = math.sqrt(b2)
+        beta.append(math.sqrt(b2))
 
-    return BranchFactors(kappa=kappa, w_kind=w_kind, beta=beta)
+    return np.array(kind), np.array(kappa), np.array(beta)
 
 
 @dataclass(frozen=True)
@@ -215,7 +206,7 @@ def assemble_and_solve(ps: ParameterSet, normalization="max_at_tip",
     geo = ps.geometry
     proto = ps.protocol
     blood = derive_optics(ps.blood_optics)
-    branch = branch_factors(ps)
+    kind, kappa, beta = branch_factors(ps)
 
     src = build_source(proto, ps.blood_optics, r_f=geo.r_f)
     s0 = src.S0
@@ -240,18 +231,16 @@ def assemble_and_solve(ps: ParameterSet, normalization="max_at_tip",
     # (the lumen profile is flat), no closure row at r_s
     eff = LayerSpec(
         geo, OUTER_FIRST,
-        kind=np.array([[branch.w_kind[reg].value] for reg in OUTER]),
-        q=np.array([[branch.kappa[reg]] for reg in OUTER]),
+        kind=kind[:, None], q=kappa[:, None],
         cond=d_of[OUTER_FIRST:], inner=(("value", b0), ("flux", 0.0)))
     p_eff, cond_eff = assemble(eff).solve("mu_eff")
 
     # mu_t family over the annulus and the outer regions: value -P_in at
     # r_f (no flux row there: the column ansatz is flat in r, so a flux
     # row would over-determine the square system), closure row at r_s
-    t_regions = (Region.BLOOD_ANNULUS,) + OUTER
     mu_t = LayerSpec(
-        geo, OUTER_FIRST - 1, kind=np.full((len(t_regions), 1), JY),
-        q=np.array([[branch.beta[reg]] for reg in t_regions]),
+        geo, OUTER_FIRST - 1, kind=np.full((beta.size, 1), JY),
+        q=beta[:, None],
         cond=d_of[OUTER_FIRST - 1:], inner=(("value", -p_in),),
         outer=_CLOSURE[closure])
     p_t, cond_t = assemble(mu_t).solve("mu_t")

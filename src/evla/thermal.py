@@ -27,9 +27,13 @@ The temperature is assembled from three ingredients:
 
 Every term is a radial profile times an axial and a time factor
 (Mikhailov & Ozisik's composite-medium construction, see layered.py).
-TemperatureSolution holds them as one term table and evaluates each factor
-once per distinct value of its own coordinate; the forced time factors are
-taken from the region holding each radius.
+Each family is passed on as the arrays that define it: forcing_rates gives
+the forced rates per family and region, steady_robin_offset the offset
+profile, and modal_eigenvalues the decay rates with one RadialPiecewise
+holding a row per mode.  TemperatureSolution stacks them into one term
+table and evaluates each factor once per distinct value of its own
+coordinate; the forced time factors are taken from the region holding
+each radius.
 
 The lumen terms satisfy the blood heat equation exactly.  For the outer
 regions three variants are provided (`mode`): "derived" (default) keeps
@@ -107,42 +111,30 @@ def growth_bracket(a, b, t):
 # forcing rates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ForcingRates:
-    """Free growth rates of the forced spatial profiles [1/s].
+def forcing_rates(ps: ParameterSet):
+    """Free growth rates of the forced spatial profiles [1/s], one row per
+    family (0: under the mu_eff axial factor, 1: under mu_t) and one column
+    per region.
 
-    zeta_col_eff / zeta_col_t: lumen profiles (flat in r), driven by the
-    mu_eff and mu_t axial factors; blood flow u adds u*mu.
-    zeta_ann_t: annulus oscillatory profile under the mu_t axial factor
-    (its radial curvature shifts mu_t^2 down to mu_eff^2).
-    zeta_outer[region]: both families in an outer region share one rate,
-    (k mu_eff_j^2 - c_b omega_j) / (rho c_p)_j.
+    In the lumen the profiles are flat in r and grow at alpha_b mu^2, and
+    blood flow u adds u mu; the annulus mu_t profile's radial curvature
+    shifts mu_t^2 down to mu_eff^2.  In an outer region both families share
+    one rate, (k mu_eff_j^2 - c_b omega_j) / (rho c_p)_j.
     """
-
-    zeta_col_eff: float
-    zeta_col_t: float
-    zeta_ann_t: float
-    zeta_outer: dict
-
-
-def forcing_rates(ps: ParameterSet) -> ForcingRates:
     blood = derive_optics(ps.blood_optics)
     th_b = ps.blood_thermal
     alpha_b = th_b.k / th_b.rho_cp          # blood diffusivity [mm^2/s]
     u = ps.protocol.u
     c_b = th_b.c_p
-    zeta_outer = {}
+    col_eff = alpha_b * blood.mu_eff ** 2 + u * blood.mu_eff
+    rates = [(col_eff, alpha_b * blood.mu_t ** 2 + u * blood.mu_t),
+             (col_eff, alpha_b * blood.mu_eff ** 2 + u * blood.mu_t)]
     for reg in OUTER:
         th = ps.thermal_of(reg)
-        mu_eff_j = ps.derived_of(reg).mu_eff
-        zeta_outer[reg] = (th.k * mu_eff_j ** 2 - c_b * th.omega) \
-            / th.rho_cp
-    return ForcingRates(
-        zeta_col_eff=alpha_b * blood.mu_eff ** 2 + u * blood.mu_eff,
-        zeta_col_t=alpha_b * blood.mu_t ** 2 + u * blood.mu_t,
-        zeta_ann_t=alpha_b * blood.mu_eff ** 2 + u * blood.mu_t,
-        zeta_outer=zeta_outer,
-    )
+        zeta = (th.k * ps.derived_of(reg).mu_eff ** 2
+                - c_b * th.omega) / th.rho_cp
+        rates.append((zeta, zeta))
+    return np.array(rates).T
 
 
 _MODES = ("derived", "printed", "printed_sqrt")
@@ -151,19 +143,6 @@ _MODES = ("derived", "printed", "printed_sqrt")
 # ---------------------------------------------------------------------------
 # steady Robin offset
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OffsetProfile:
-    """Steady rise Theta(r) over [r_i, r_s]; zero in the lumen.
-
-    Solves k (Theta'' + Theta'/r) = c_b omega Theta with Theta(r_i) = 0,
-    value/flux continuity at the interfaces, and the skin boundary row
-    k_s Theta' + h (Theta - gamma) = 0 at r_s, gamma = T_air - T_b.
-    """
-
-    profile: RadialPiecewise     # I0/K0 in every tissue region
-    gamma: float
-
 
 def _tissue_spec(ps, kind, q, outer_rhs=0.0):
     """The tissue-annulus problem: zero value at r_i, value and k-flux
@@ -174,9 +153,15 @@ def _tissue_spec(ps, kind, q, outer_rhs=0.0):
                      outer_rhs=outer_rhs, h=ps.protocol.h_air)
 
 
-def steady_robin_offset(ps: ParameterSet) -> OffsetProfile:
+def steady_robin_offset(ps: ParameterSet) -> RadialPiecewise:
+    """Steady rise Theta(r) over [r_i, r_s], I0/K0 in every tissue region;
+    zero in the lumen.
+
+    Solves k (Theta'' + Theta'/r) = c_b omega Theta with Theta(r_i) = 0,
+    value/flux continuity at the interfaces, and the skin boundary row
+    k_s Theta' + h (Theta - gamma) = 0 at r_s, gamma = T_air - T_b.
+    """
     proto = ps.protocol
-    gamma = proto.T_air - proto.T_b
     c_b = ps.blood_thermal.c_p
     q = []
     for reg in OUTER:
@@ -187,22 +172,13 @@ def steady_robin_offset(ps: ParameterSet) -> OffsetProfile:
                 % reg.value)
         q.append([math.sqrt(c_b * th.omega / th.k)])
     spec = _tissue_spec(ps, np.full((len(OUTER), 1), IK), np.array(q),
-                        outer_rhs=proto.h_air * gamma)
-    profile, _ = assemble(spec).solve("Robin offset")
-    return OffsetProfile(profile=profile, gamma=gamma)
+                        outer_rhs=proto.h_air * (proto.T_air - proto.T_b))
+    return assemble(spec).solve("Robin offset")[0]
 
 
 # ---------------------------------------------------------------------------
 # modal relaxation over [r_i, r_s]
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RadialMode:
-    """One eigenfunction of the tissue-annulus relaxation problem."""
-
-    zeta: float                  # decay rate [1/s], negative
-    profile: RadialPiecewise     # one row over wall, pad, skin
-
 
 def _mode_spec(ps, u):
     """The tissue-annulus problem at the trial rates zeta = -u^2, one batch
@@ -356,8 +332,10 @@ def _refine(ps, seeds, widest):
                        "steps")
 
 
-def modal_eigenvalues(ps: ParameterSet, n_modes=20) -> list:
-    """First n_modes radial relaxation modes, slowest first.
+def modal_eigenvalues(ps: ParameterSet, n_modes=20):
+    """(zeta, modes): the first n_modes radial relaxation modes, slowest
+    first, as their decay rates [1/s] (negative) and one RadialPiecewise
+    over wall, pad and skin with one row per mode.
 
     Every root u = sqrt(-zeta) of the scaled interface determinant is
     seeded by a spectral-element discretisation of the relaxation problem
@@ -369,7 +347,9 @@ def modal_eigenvalues(ps: ParameterSet, n_modes=20) -> list:
     the windows do not overlap, so no root is found twice.  The modes are
     then built together and checked (_build_modes).
 
-    Raises BracketExhausted when the seed problem would be too large
+    Raises ThermalError when n_modes < 1: the uniform start cannot be
+    projected onto an empty mode set.  Raises BracketExhausted when the
+    seed problem would be too large
     (more than _SEED_MAX_UNKNOWNS unknowns, about 580 modes on the
     built-in tables), when an iterate or a root leaves its seed's window,
     or when mode n (0-based) does not change sign exactly n times on
@@ -377,14 +357,14 @@ def modal_eigenvalues(ps: ParameterSet, n_modes=20) -> list:
     window can see (a mode the discrete problem misses is missing from the
     seeds too).
     """
-    if n_modes <= 0:
-        return []
+    if n_modes < 1:
+        raise ThermalError("n_modes must be >= 1, got %r" % n_modes)
     seeds = _seed_roots(ps, n_modes)
     widest = _widest_windows(seeds)[:-1]
     seeds = seeds[:-1]
     u = _refine(ps, seeds, widest)
     _check_windows(seeds, widest, u, np.arange(n_modes))
-    return _build_modes(ps, u)
+    return -u * u, _build_modes(ps, u)
 
 
 def _sign_changes(vals):
@@ -394,7 +374,8 @@ def _sign_changes(vals):
 
 
 def _build_modes(ps, u):
-    """Normalised modes at the refined roots u, checked for completeness."""
+    """Normalised modes at the refined roots u, one row each, checked for
+    completeness."""
     system = assemble(_mode_spec(ps, u))
     _, s, vt = np.linalg.svd(system.m)
     for uu in u[s[:, -2] < 1e-8 * s[:, 0]]:
@@ -412,15 +393,15 @@ def _build_modes(ps, u):
                 "mode %d changes sign %d times on (r_i, r_s], expected %d: "
                 "a root was missed or found twice" % (n, found, n))
     fac = np.where(slope > 0, 1.0, -1.0) / np.max(np.abs(vals), axis=1)
-    prof = replace(prof, a=prof.a * fac, b=prof.b * fac)
-    return [RadialMode(zeta=float(-uu * uu), profile=prof.rows([i]))
-            for i, uu in enumerate(u)]
+    return replace(prof, a=prof.a * fac, b=prof.b * fac)
 
 
-def project_initial(ps: ParameterSet, modes, offset: OffsetProfile):
+def project_initial(ps: ParameterSet, zeta, modes: RadialPiecewise,
+                    offset: RadialPiecewise):
     """Amplitudes c_m with sum c_m R_m ~ -Theta over [r_i, r_s], in closed
-    form from edge values and derivatives.  Returns (c, residual_max,
-    residual_l2).
+    form from edge values and derivatives, for the modes R_m (the rows of
+    modes) with decay rates zeta and the offset Theta, gamma = T_air -
+    T_b.  Returns (c, residual_max, residual_l2).
 
     The modes are orthogonal in the weight rho c_p r, so c_m = -<Theta,
     R_m> / N_m.  Green's identity against the offset (the same operator at
@@ -434,18 +415,18 @@ def project_initial(ps: ParameterSet, modes, offset: OffsetProfile):
     largest |Theta + sum c_m R_m| at r_i, r_w, r_p and r_s.  Raises
     ThermalError unless every c_m and N_m is finite and every N_m > 0.
     """
-    prof = stack([offset.profile] + [m.profile for m in modes])
+    prof = stack([offset, modes])
     val = prof.at_edges()                           # (zones, 1 + M, 2)
     r = np.asarray(ps.geometry.edges[OUTER_FIRST:])
     sign = np.where(prof.kind == JY, 1.0, -1.0)[..., None]
     rho_cp = np.array([ps.thermal_of(reg).rho_cp for reg in OUTER])
-    zeta = np.array([m.zeta for m in modes])
+    proto = ps.protocol
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = prof.at_edges(deriv=True) / prof.q[..., None]
         lommel = (0.5 * np.stack([r[:-1], r[1:]], -1)[:, None] ** 2
                   * (val * val + sign * slope * slope))
         norm = rho_cp @ (lommel[..., 1] - lommel[..., 0])  # (1 + M,)
-        c = (ps.geometry.r_s * ps.protocol.h_air * offset.gamma
+        c = (ps.geometry.r_s * proto.h_air * (proto.T_air - proto.T_b)
              * val[-1, 1:, 1] / (zeta * norm[1:]))
     ok = np.isfinite(c) & np.isfinite(norm[1:]) & (norm[1:] > 0.0)
     if not ok.all():
@@ -476,8 +457,9 @@ class TemperatureSolution:
     * `axial`: alpha_k, mu_eff and mu_t for the forced rows, 0 for the
       offset and the modes;
     * `brackets` (family, region, 3): a, b and d of the forced time factor
-      G = (e^{a t} - e^{b t}) / d, with `mode` resolved here; d is nan
-      where G is the exact Duhamel bracket, d = a - b (growth_bracket);
+      G = (e^{a t} - e^{b t}) / d, with `mode` resolved here; a is the
+      forcing rate (`rates`, forcing_rates), and d is nan where G is the
+      exact Duhamel bracket, d = a - b (growth_bracket);
     * `decay`: G = e^{rate t} of the offset (rate 0) and the modes (zeta_k).
 
     Each radius takes the forced time factors of the region holding it, so
@@ -487,9 +469,10 @@ class TemperatureSolution:
     ps: ParameterSet
     sol: FluenceSolution
     mode: str
-    rates: ForcingRates
-    offset: OffsetProfile
-    modal: tuple              # RadialMode list
+    rates: np.ndarray         # forcing_rates, (family, region)
+    offset: RadialPiecewise   # steady_robin_offset
+    zeta: np.ndarray          # modal_eigenvalues: the modes' decay rates
+    modes: RadialPiecewise    # and the modes, one row each
     amplitudes: np.ndarray
     projection_residual_max: float
     projection_residual_l2: float
@@ -501,40 +484,34 @@ class TemperatureSolution:
 
     def __post_init__(self):
         ps = self.ps
-        rates = self.rates
         mu = np.array(self.sol.axial)
-        n_relax = 1 + len(self.modal)
+        n_relax = 1 + len(self.zeta)
         amp = np.ones((2 + n_relax, len(Region)))
         amp[3:] = np.asarray(self.amplitudes)[:, None]
+        amp[:2, :OUTER_FIRST] = (ps.blood_optics.mu_a
+                                 / ps.blood_thermal.rho_cp)
         brackets = np.full((2, len(Region), 3), np.nan)
-        brackets[:, :, 1] = -mu[:, None] * ps.protocol.v
-        lumen_t = {Region.FIBER_COLUMN: rates.zeta_col_t,
-                   Region.BLOOD_ANNULUS: rates.zeta_ann_t}
-        for k, reg in enumerate(Region):
-            if reg in lumen_t:
-                amp[:2, k] = ps.blood_optics.mu_a / ps.blood_thermal.rho_cp
-                brackets[:, k, 0] = rates.zeta_col_eff, lumen_t[reg]
-                continue
+        brackets[..., 0] = self.rates
+        brackets[..., 1] = -mu[:, None] * ps.protocol.v
+        for k, reg in enumerate(OUTER, OUTER_FIRST):
             th = ps.thermal_of(reg)
-            zeta = rates.zeta_outer[reg]
             if self.mode == "derived":
                 amp[:2, k] = ps.optics_of(reg).mu_a / th.rho_cp
-                brackets[:, k, 0] = zeta
                 continue
-            if self.mode == "printed_sqrt" and zeta < 0.0:
-                raise ThermalError(
-                    "printed_sqrt mode undefined for negative growth rate "
-                    "%g in %s" % (zeta, reg.value))
-            brackets[:, k, 0] = (math.sqrt(zeta)
-                                 if self.mode == "printed_sqrt" else zeta)
-            brackets[:, k, 2] = th.rho_cp * zeta
-        tissue = stack([self.offset.profile]
-                       + [m.profile for m in self.modal]).flat_inside(0.0)
+            rate = self.rates[0, k]
+            if self.mode == "printed_sqrt":
+                if rate < 0.0:
+                    raise ThermalError(
+                        "printed_sqrt mode undefined for negative growth "
+                        "rate %g in %s" % (rate, reg.value))
+                brackets[:, k, 0] = math.sqrt(rate)
+            brackets[:, k, 2] = th.rho_cp * rate
+        tissue = stack([self.offset, self.modes]).flat_inside(0.0)
         for name, value in (
                 ("radial", stack([self.sol.radial, tissue])), ("amp", amp),
                 ("axial", np.concatenate([mu, np.zeros(n_relax)])),
                 ("brackets", brackets),
-                ("decay", np.array([0.0] + [m.zeta for m in self.modal]))):
+                ("decay", np.concatenate([[0.0], self.zeta]))):
             object.__setattr__(self, name, value)
 
     def radial_rows(self, r):
@@ -547,13 +524,7 @@ class TemperatureSolution:
         its blocks).  Non-finite radii and radii outside [0, r_s] raise
         DomainError.
         """
-        # sorted, then deduplicated by comparing neighbours (np.unique
-        # would import numpy.ma on its first call); nan != nan, so every
-        # nan is kept for the domain check
-        ru = np.sort(np.asarray(r, dtype=float), axis=None)
-        keep = np.ones(ru.size, dtype=bool)
-        keep[1:] = ru[1:] != ru[:-1]
-        ru = ru[keep]
+        ru = distinct_values(np.asarray(r, dtype=float))[0]
         # z = t = 0 lies in the domain: only the radii are checked
         self.sol._check_domain(ru, 0.0, 0.0)
         reg_u = region_index(ru, self.ps.geometry)
@@ -571,23 +542,27 @@ class TemperatureSolution:
             raise ValueError("a radius of r is not among the rows' radii")
         (zu, iz), (tu, it) = (distinct_values(c) for c in coords[1:])
         reg = region_index(ru, self.ps.geometry)[ir]
-        axial = np.exp(-self.axial[:2, None] * zu)
-        # forced time factors, (family, region, t): printed rows where d set
         a, b, d = (self.brackets[..., i, None] for i in range(3))
-        forced = growth_bracket(a, b, tu)
         printed = ~np.isnan(d[..., 0])
-        with np.errstate(over="ignore"):
+        # an overflow here, or an inf times zero, leaves a non-finite value,
+        # which the check below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            axial = np.exp(-self.axial[:2, None] * zu)
+            # forced time factors, (family, region, t): printed rows where
+            # d is set
+            forced = growth_bracket(a, b, tu)
             forced[printed] = (np.exp(a[printed] * tu)
                                - np.exp(b[printed] * tu)) / d[printed]
-        relax = np.exp(self.decay[:, None] * tu)
-        out = self.ps.protocol.T_b + sum(
-            table[f][ir] * forced[f][reg, it] * axial[f][iz] for f in (0, 1))
-        # offset and modes: no axial factor (alpha = 0), every term of the
-        # shape of r and t broadcast
-        acc = table[2][ir] * relax[0][it]
-        for row, g in zip(table[3:], relax[1:]):
-            acc += row[ir] * g[it]
-        out += acc
+            relax = np.exp(self.decay[:, None] * tu)
+            out = self.ps.protocol.T_b + sum(
+                table[f][ir] * forced[f][reg, it] * axial[f][iz]
+                for f in (0, 1))
+            # offset and modes: no axial factor (alpha = 0), every term of
+            # the shape of r and t broadcast
+            acc = table[2][ir] * relax[0][it]
+            for row, g in zip(table[3:], relax[1:]):
+                acc += row[ir] * g[it]
+            out += acc
         bad = np.count_nonzero(~np.isfinite(out))
         if bad:
             raise ThermalError(
@@ -615,16 +590,12 @@ def build_temperature(ps: ParameterSet, sol: FluenceSolution = None,
     """Assemble the full temperature construction for one parameter set."""
     if mode not in _MODES:
         raise ThermalError("unknown mode %r (one of %s)" % (mode, _MODES))
-    if n_modes < 1:
-        # the uniform start cannot be projected onto an empty mode set
-        raise ThermalError("n_modes must be >= 1, got %r" % n_modes)
     if sol is None:
         sol = assemble_and_solve(ps)
-    rates = forcing_rates(ps)
     offset = steady_robin_offset(ps)
-    modal = modal_eigenvalues(ps, n_modes=n_modes)
-    c, res_max, res_l2 = project_initial(ps, modal, offset)
+    zeta, modes = modal_eigenvalues(ps, n_modes=n_modes)
+    c, res_max, res_l2 = project_initial(ps, zeta, modes, offset)
     return TemperatureSolution(
-        ps=ps, sol=sol, mode=mode, rates=rates, offset=offset,
-        modal=tuple(modal), amplitudes=c,
+        ps=ps, sol=sol, mode=mode, rates=forcing_rates(ps), offset=offset,
+        zeta=zeta, modes=modes, amplitudes=c,
         projection_residual_max=res_max, projection_residual_l2=res_l2)

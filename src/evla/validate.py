@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import damage, fdoracle, specfn, thermal
-from .fluence import assemble_and_solve, interface_jumps
-from .params import ParameterSet, Region, default_params
+from .fluence import assemble_and_solve, branch_factors, interface_jumps
+from .layered import IK
+from .params import OUTER, ParameterSet, Region, default_params
 
 # two-digit published constant-temperature crossing times [s]
 PUBLISHED_CRIT_TIMES = {
@@ -126,13 +127,11 @@ def criterion_a2(ctx):
 @_timed
 def criterion_a3(ctx):
     """Radial branch selection of the mu_eff family per wavelength."""
-    from .fluence import BranchKind, branch_factors
     mismatches = []
     for wl, want in EXPECTED_BRANCH_MODIFIED.items():
-        bf = branch_factors(default_params(wl, 15.0))
+        kind = branch_factors(default_params(wl, 15.0))[0]
         for reg, modified in want.items():
-            got = bf.w_kind[reg] is BranchKind.MODIFIED
-            if got != modified:
+            if (kind[OUTER.index(reg)] == IK) != modified:
                 mismatches.append("%d/%s" % (wl, reg.value))
     return CriterionResult(
         "A3", "radial branch table", not mismatches,
@@ -213,12 +212,12 @@ def criterion_a6(ctx):
 
     c_b = ps.blood_thermal.c_p
     for idx in (0, 4, 12):
-        m = ctx.temp.modal[idx]
+        zeta, mode = ctx.temp.zeta[idx], ctx.temp.modes.rows([idx])
         react = {reg: (c_b * ps.thermal_of(reg).omega
-                       + ps.thermal_of(reg).rho_cp * m.zeta)
+                       + ps.thermal_of(reg).rho_cp * zeta)
                  for reg in Region}
         probe = fdoracle.residual_probe(
-            ps, lambda rr, zz, m=m: m.profile.values(rr)[0], diff_of, react,
+            ps, lambda rr, zz, mode=mode: mode.values(rr)[0], diff_of, react,
             rmin=geo.r_i, nr=120, nz=24)
         for reg, order in probe.orders.items():
             orders["mode%d/%s" % (idx, reg.value)] = order

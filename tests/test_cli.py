@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import evla
-from evla import cli, validate
+from evla import cli, fluence, thermal, validate
 from evla.validate import CriterionResult
 
 
@@ -172,6 +172,54 @@ def test_bad_grid_or_times_exit_before_the_solve(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "assemble_and_solve", no_solve)
     assert cli.main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ini, argv", [
+    ("[optical.blood]\ng = 0.999999\n", ["temperature"]),
+    ("[optical.blood]\ng = 0.999999\n", ["damage", "--map"]),
+    ("[protocol]\nt_end = 1000\n", ["temperature", "--times", "1000"]),
+    ("[protocol]\nu = 70\n", ["damage", "--map"]),
+    ("[thermal.skin]\nk = 1e-9\n", ["temperature"]),
+], ids=["g-temperature", "g-damage-map", "t_end-1000", "u70-damage-map",
+        "skin-k-bessel-overflow"])
+def test_diverged_or_overflowing_fields_exit_three(tmp_path, capsys, ini,
+                                                   argv):
+    # a closed form that diverges (non-finite output) or a Bessel argument
+    # past the representable range: one solver-error line, no numpy
+    # warning (the suite turns RuntimeWarning into an error) and no
+    # traceback
+    cfg = tmp_path / "case.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("solver error:")
+
+
+@pytest.mark.parametrize("command, solution", [
+    ("temperature", thermal.TemperatureSolution),
+    ("fluence", fluence.FluenceSolution)])
+def test_field_commands_evaluate_once(tmp_path, monkeypatch, command,
+                                      solution):
+    # every output time is evaluated in one call, so the radial table is
+    # built once per command
+    calls = []
+    evaluate = solution.eval
+
+    def counted(self, r, z, t):
+        calls.append(t)
+        return evaluate(self, r, z, t)
+
+    monkeypatch.setattr(solution, "eval", counted)
+    out = tmp_path / "field.csv"
+    assert cli.main([command, "--grid", "5,6", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    # the default times 0, 2.5, 5, 7.5 and 10, each without the points
+    # behind the tip (v = 1 mm/s)
+    z = np.linspace(-10.0, 10.0, 6)
+    t_s = [float(row[2]) for row in _read_csv(str(out))[1]]
+    assert t_s == [t for t in (0.0, 2.5, 5.0, 7.5, 10.0)
+                   for _ in range(5 * np.count_nonzero(z >= -t - 1e-12))]
 
 
 def test_env_config_is_picked_up(tmp_path, monkeypatch, capsys):

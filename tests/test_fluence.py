@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from evla import fluence, params
-from evla.fluence import (BranchKind, DomainError, NonPositiveRadicand,
+from evla.fluence import (DomainError, NonPositiveRadicand,
                           assemble_and_solve, branch_factors, build_source,
                           eval_fluence_transient, interface_jumps,
                           transient_growth_rate)
+from evla.layered import IK, JY
 from evla.params import Region
 
 
@@ -57,28 +58,25 @@ MODIFIED = {
 @pytest.mark.parametrize("wl", [810, 980, 1064])
 def test_kappa_table(wl):
     ps = params.default_params(wl, 15.0)
-    br = branch_factors(ps)
-    for reg, name in ((Region.WALL, "wall"), (Region.PAD, "pad"),
-                      (Region.SKIN, "skin")):
-        assert br.kappa[reg] == pytest.approx(KAPPA[wl][name], abs=5e-6)
+    kappa = branch_factors(ps)[1]
+    want = [KAPPA[wl][name] for name in ("wall", "pad", "skin")]
+    np.testing.assert_allclose(kappa, want, rtol=0.0, atol=5e-6)
 
 
 @pytest.mark.parametrize("wl", [810, 980, 1064])
 def test_branch_kinds(wl):
     ps = params.default_params(wl, 15.0)
-    br = branch_factors(ps)
-    for reg, name in ((Region.WALL, "wall"), (Region.PAD, "pad"),
-                      (Region.SKIN, "skin")):
-        want = BranchKind.MODIFIED if MODIFIED[wl][name] else BranchKind.STANDARD
-        assert br.w_kind[reg] is want, (wl, name)
+    kind = branch_factors(ps)[0]
+    want = [IK if MODIFIED[wl][name] else JY
+            for name in ("wall", "pad", "skin")]
+    assert kind.tolist() == want, wl
 
 
 def test_beta_table_810(ps810):
-    br = branch_factors(ps810)
-    assert br.beta[Region.BLOOD_ANNULUS] == pytest.approx(1.48213, abs=5e-6)
-    assert br.beta[Region.WALL] == pytest.approx(1.10856, abs=5e-6)
-    assert br.beta[Region.PAD] == pytest.approx(1.65131, abs=5e-6)
-    assert br.beta[Region.SKIN] == pytest.approx(1.45908, abs=5e-6)
+    # blood annulus, wall, pad, skin
+    beta = branch_factors(ps810)[2]
+    np.testing.assert_allclose(beta, [1.48213, 1.10856, 1.65131, 1.45908],
+                               rtol=0.0, atol=5e-6)
 
 
 def test_beta_radicand_failure_mode():

@@ -57,9 +57,8 @@ def compute(name):
     return {
         "fluence": sol.eval(rr, zz, tt),
         "temperature": temp.eval(rr, zz, tt),
-        "zeta": np.array([m.zeta for m in temp.modal]),
-        "offset": temp.offset.profile.values(
-            np.linspace(0.0, geo.r_s, 50))[0],
+        "zeta": temp.zeta,
+        "offset": temp.offset.values(np.linspace(0.0, geo.r_s, 50))[0],
         "omega": dm.omega,
         "t_cross": dm.t_cross,
         "crit_times": np.array([[row[mat] for mat in params.MATERIALS]

@@ -65,8 +65,7 @@ def test_one_kernel_call_per_function_and_kind(temp810, kernel_calls):
 def _tables(temp):
     """The radial tables of a built solution: the full term table (zones
     from the axis) and the offset and modes alone (zones from r_i)."""
-    tissue = layered.stack([temp.offset.profile]
-                           + [m.profile for m in temp.modal])
+    tissue = layered.stack([temp.offset, temp.modes])
     return {"terms": temp.radial, "tissue": tissue}
 
 

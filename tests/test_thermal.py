@@ -79,30 +79,28 @@ def test_growth_bracket_vectorizes():
 # --- forcing rates ----------------------------------------------------------
 
 def test_forcing_rates_frozen(ps810):
-    r = forcing_rates(ps810)
-    assert r.zeta_col_eff == pytest.approx(0.08069811320754715, rel=1e-12)
-    assert r.zeta_col_t == pytest.approx(0.3800387840670859, rel=1e-12)
-    # the annulus oscillatory profile grows at the mu_eff rate even though
-    # it rides the mu_t axial factor (radial curvature makes the difference)
-    assert r.zeta_ann_t == pytest.approx(0.08069811320754715, rel=1e-12)
-    assert r.zeta_outer[Region.WALL] == pytest.approx(0.20649202047576035,
-                                                      rel=1e-12)
-    assert r.zeta_outer[Region.PAD] == pytest.approx(0.004014497872340427,
-                                                     rel=1e-12)
-    assert r.zeta_outer[Region.SKIN] == pytest.approx(0.0351935591910344,
-                                                      rel=1e-12)
+    col_eff, col_t = 0.08069811320754715, 0.3800387840670859
+    tissue = [0.20649202047576035, 0.004014497872340427, 0.0351935591910344]
+    # rows: the mu_eff and mu_t families; columns: fiber column, blood
+    # annulus, wall, pad, skin.  The annulus oscillatory profile grows at
+    # the mu_eff rate even though it rides the mu_t axial factor (radial
+    # curvature makes the difference)
+    np.testing.assert_allclose(
+        forcing_rates(ps810),
+        [[col_eff, col_eff] + tissue, [col_t, col_eff] + tissue],
+        rtol=1e-12, atol=0.0)
 
 
 def test_forcing_rates_blood_flow_raises_rates():
     still = forcing_rates(params.default_params(810, 15.0))
     moving = forcing_rates(params.default_params(810, 15.0, u=70.0))
-    assert moving.zeta_col_eff == pytest.approx(53.94887053440632, rel=1e-12)
-    assert moving.zeta_col_t == pytest.approx(117.28003878406707, rel=1e-12)
-    assert moving.zeta_col_eff > still.zeta_col_eff
-    assert moving.zeta_ann_t > still.zeta_ann_t
+    assert moving[0, 0] == pytest.approx(53.94887053440632, rel=1e-12)
+    assert moving[1, 0] == pytest.approx(117.28003878406707, rel=1e-12)
+    lumen = slice(0, thermal.OUTER_FIRST)
+    assert np.all(moving[:, lumen] > still[:, lumen])
     # tissue rates carry no flow dependence
-    for reg in thermal.OUTER:
-        assert moving.zeta_outer[reg] == still.zeta_outer[reg]
+    np.testing.assert_array_equal(moving[:, thermal.OUTER_FIRST:],
+                                  still[:, thermal.OUTER_FIRST:])
 
 
 # --- steady Robin offset -----------------------------------------------------
@@ -110,11 +108,11 @@ def test_forcing_rates_blood_flow_raises_rates():
 def test_offset_boundary_rows(ps810, offset810):
     geo = ps810.geometry
     proto = ps810.protocol
-    assert abs(offset810.profile.values(geo.r_i)[0]) < 1e-10
+    assert abs(offset810.values(geo.r_i)[0]) < 1e-10
     robin = (ps810.thermal_of(Region.SKIN).k
-             * offset810.profile.derivs(geo.r_s)[0]
-             + proto.h_air * (offset810.profile.values(geo.r_s)[0]
-                              - offset810.gamma))
+             * offset810.derivs(geo.r_s)[0]
+             + proto.h_air * (offset810.values(geo.r_s)[0]
+                              - (proto.T_air - proto.T_b)))
     assert abs(robin) < 1e-15
 
 
@@ -122,12 +120,12 @@ def test_offset_interface_continuity(ps810, offset810):
     geo = ps810.geometry
     for rb, inner, outer in ((geo.r_w, Region.WALL, Region.PAD),
                              (geo.r_p, Region.PAD, Region.SKIN)):
-        dv = (offset810.profile.values(rb - 1e-12)[0]
-              - offset810.profile.values(rb + 1e-12)[0])
+        dv = (offset810.values(rb - 1e-12)[0]
+              - offset810.values(rb + 1e-12)[0])
         fi = (ps810.thermal_of(inner).k
-              * offset810.profile.derivs(rb - 1e-12)[0])
+              * offset810.derivs(rb - 1e-12)[0])
         fo = (ps810.thermal_of(outer).k
-              * offset810.profile.derivs(rb + 1e-12)[0])
+              * offset810.derivs(rb + 1e-12)[0])
         assert abs(dv) < 1e-8
         assert abs(fi - fo) < 1e-10
 
@@ -137,32 +135,35 @@ def test_offset_shape(ps810, offset810):
     # ambient below blood temperature depresses the outer layers,
     # monotonically toward the skin
     r = np.linspace(geo.r_i, geo.r_s, 300)
-    vals = offset810.profile.values(r)[0]
+    vals = offset810.values(r)[0]
     assert vals[0] == pytest.approx(0.0, abs=1e-10)
     assert np.all(np.diff(vals) < 1e-12)
-    assert offset810.gamma < vals.min() < 0.0
-    assert offset810.profile.values(geo.r_s)[0] == pytest.approx(
+    proto = ps810.protocol
+    assert proto.T_air - proto.T_b < vals.min() < 0.0
+    assert offset810.values(geo.r_s)[0] == pytest.approx(
         -6.2024, abs=2e-3)
     # lumen untouched
-    assert offset810.profile.values(1.0)[0] == 0.0
+    assert offset810.values(1.0)[0] == 0.0
 
 
 # --- relaxation modes ---------------------------------------------------------
 
 def test_modes_ordered_and_negative(modes810):
-    zetas = [m.zeta for m in modes810]
-    assert all(z < 0 for z in zetas)
-    assert all(a > b for a, b in zip(zetas, zetas[1:]))
+    zetas, modes = modes810
+    assert zetas.shape == (20,) and modes.a.shape[1] == 20
+    assert np.all(zetas < 0)
+    assert np.all(np.diff(zetas) < 0)
 
 
 @pytest.mark.parametrize("preset", ["810-15w", "980-15w"])
 def test_mode_rates_frozen(preset, modes810):
     if preset == "810-15w":
-        modes = modes810
+        zetas = modes810[0]
     else:
-        modes = modal_eigenvalues(params.preset_params(preset), n_modes=20)
-    np.testing.assert_allclose([m.zeta for m in modes], ZETA_DEFAULT_STACK,
-                               rtol=1e-12, atol=0.0)
+        zetas = modal_eigenvalues(params.preset_params(preset),
+                                  n_modes=20)[0]
+    np.testing.assert_allclose(zetas, ZETA_DEFAULT_STACK, rtol=1e-12,
+                               atol=0.0)
 
 
 def test_mode_set_is_complete(all_presets):
@@ -171,8 +172,7 @@ def test_mode_set_is_complete(all_presets):
     for name, ps in all_presets.items():
         geo = ps.geometry
         r = np.linspace(geo.r_i, geo.r_s, 2001)[1:]
-        vals = stack([m.profile for m in
-                      modal_eigenvalues(ps, n_modes=20)]).values(r)
+        vals = modal_eigenvalues(ps, n_modes=20)[1].values(r)
         for n, row in enumerate(vals):
             s = np.sign(row[row != 0.0])
             assert np.count_nonzero(s[1:] != s[:-1]) == n, (name, n)
@@ -188,7 +188,7 @@ def test_skipped_root_is_detected(ps810):
 @pytest.fixture(scope="module")
 def roots21(ps810):
     """The first 21 roots u of the default tissue stack."""
-    return np.sqrt([-m.zeta for m in modal_eigenvalues(ps810, n_modes=21)])
+    return np.sqrt(-modal_eigenvalues(ps810, n_modes=21)[0])
 
 
 @pytest.mark.parametrize("last, below", [(20, 21), (18, 19)])
@@ -240,9 +240,8 @@ def test_misplaced_seed_is_recovered_or_refused(ps810, monkeypatch, mode,
         with pytest.raises(BracketExhausted):
             modal_eigenvalues(ps810, n_modes=20)
         return
-    np.testing.assert_allclose(
-        [m.zeta for m in modal_eigenvalues(ps810, n_modes=20)],
-        ZETA_DEFAULT_STACK, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(modal_eigenvalues(ps810, n_modes=20)[0],
+                               ZETA_DEFAULT_STACK, rtol=1e-12, atol=0.0)
 
 
 def test_more_modes_than_the_seed_grid_holds(ps810):
@@ -292,7 +291,7 @@ def test_search_matches_reference_scan(monkeypatch, draw):
     calls = []
     monkeypatch.setattr(thermal, "_dets",
                         lambda ps_, u: calls.append(u.size) or dets(ps_, u))
-    got = [m.zeta for m in modal_eigenvalues(ps, n_modes=20)]
+    got = modal_eigenvalues(ps, n_modes=20)[0]
     np.testing.assert_allclose(got, -roots ** 2, rtol=1e-12, atol=0.0)
     assert len(calls) <= 3 and sum(calls) <= 4 * 20, calls
 
@@ -305,9 +304,8 @@ def test_hundreds_of_modes_pass_the_sturm_check(ps810, n_modes):
     widest = thermal._widest_windows(seeds)
     assert np.all(seeds[:-1] * (1.0 + widest[:-1])
                   < seeds[1:] * (1.0 - widest[1:]))
-    modes = modal_eigenvalues(ps810, n_modes=n_modes)
-    assert len(modes) == n_modes
-    zetas = np.array([m.zeta for m in modes])
+    zetas, modes = modal_eigenvalues(ps810, n_modes=n_modes)
+    assert zetas.shape == (n_modes,) and modes.a.shape[1] == n_modes
     assert np.all(np.diff(zetas) < 0.0)
     np.testing.assert_allclose(zetas[:20], ZETA_DEFAULT_STACK, rtol=1e-12,
                                atol=0.0)
@@ -315,7 +313,7 @@ def test_hundreds_of_modes_pass_the_sturm_check(ps810, n_modes):
     # times finer than the search's
     geo = ps810.geometry
     r = np.linspace(geo.r_i, geo.r_s, 4001)[1:]
-    for n, row in enumerate(stack([m.profile for m in modes]).values(r)):
+    for n, row in enumerate(modes.values(r)):
         s = np.sign(row[row != 0.0])
         assert np.count_nonzero(s[1:] != s[:-1]) == n
 
@@ -344,28 +342,26 @@ def test_gll_rule_matches_numpy_polynomial(p):
 def test_modes_do_not_depend_on_wavelength_or_power(modes810):
     # the relaxation problem reads only the tissue thermal table, the
     # geometry and h_air
-    want = [m.zeta for m in modes810]
     for wavelength in params.WAVELENGTHS:
         for power in (8.0, 16.0):
             ps = params.default_params(wavelength, power)
-            assert [m.zeta for m in modal_eigenvalues(ps)] == want
+            np.testing.assert_array_equal(modal_eigenvalues(ps)[0],
+                                          modes810[0])
 
 
 def test_mode_interface_conditions(ps810, modes810):
     geo = ps810.geometry
-    for m in (modes810[0], modes810[7], modes810[19]):
-        assert abs(m.profile.values(geo.r_i)[0]) < 1e-12
+    for prof in (modes810[1].rows([i]) for i in (0, 7, 19)):
+        assert abs(prof.values(geo.r_i)[0]) < 1e-12
         for rb, inner, outer in ((geo.r_w, Region.WALL, Region.PAD),
                                  (geo.r_p, Region.PAD, Region.SKIN)):
-            dv = (m.profile.values(rb - 1e-12)[0]
-                  - m.profile.values(rb + 1e-12)[0])
-            fi = ps810.thermal_of(inner).k * m.profile.derivs(rb - 1e-12)[0]
-            fo = ps810.thermal_of(outer).k * m.profile.derivs(rb + 1e-12)[0]
+            dv = prof.values(rb - 1e-12)[0] - prof.values(rb + 1e-12)[0]
+            fi = ps810.thermal_of(inner).k * prof.derivs(rb - 1e-12)[0]
+            fo = ps810.thermal_of(outer).k * prof.derivs(rb + 1e-12)[0]
             assert abs(dv) < 1e-9
             assert abs(fi - fo) < 1e-12
-        robin = (ps810.thermal_of(Region.SKIN).k
-                 * m.profile.derivs(geo.r_s)[0]
-                 + ps810.protocol.h_air * m.profile.values(geo.r_s)[0])
+        robin = (ps810.thermal_of(Region.SKIN).k * prof.derivs(geo.r_s)[0]
+                 + ps810.protocol.h_air * prof.values(geo.r_s)[0])
         assert abs(robin) < 1e-14
 
 
@@ -374,26 +370,28 @@ def test_mode_satisfies_radial_equation(ps810, modes810):
     # defining balance k (R'' + R'/r) = (rho c_p zeta + c_b omega) R
     c_b = ps810.blood_thermal.c_p
     h = 1e-4
-    for m in (modes810[0], modes810[5]):
+    zetas, modes = modes810
+    for i in (0, 5):
+        prof = modes.rows([i])
         for r, reg in ((4.1, Region.WALL), (9.0, Region.PAD),
                        (16.0, Region.SKIN)):
             th = ps810.thermal_of(reg)
-            val = m.profile.values(r)[0]
-            d2 = (m.profile.values(r + h)[0] - 2.0 * val
-                  + m.profile.values(r - h)[0]) / h ** 2
-            d1 = m.profile.derivs(r)[0]
+            val = prof.values(r)[0]
+            d2 = (prof.values(r + h)[0] - 2.0 * val
+                  + prof.values(r - h)[0]) / h ** 2
+            d1 = prof.derivs(r)[0]
             lhs = th.k * (d2 + d1 / r)
-            rhs = (th.rho_cp * m.zeta + c_b * th.omega) * val
+            rhs = (th.rho_cp * zetas[i] + c_b * th.omega) * val
             assert lhs == pytest.approx(rhs, rel=1e-4, abs=1e-9)
 
 
 def test_mode_normalization(ps810, modes810):
     geo = ps810.geometry
     r = np.linspace(geo.r_i, geo.r_s, 2000)
-    for m in modes810[:3]:
-        vals = m.profile.values(r)[0]
-        assert np.max(np.abs(vals)) == pytest.approx(1.0, abs=1e-3)
-        assert m.profile.derivs(geo.r_i)[0] > 0
+    modes = modes810[1].rows(slice(0, 3))
+    np.testing.assert_allclose(np.max(np.abs(modes.values(r)), axis=1), 1.0,
+                               rtol=0.0, atol=1e-3)
+    assert np.all(modes.derivs(geo.r_i) > 0)
 
 
 def simpson_rule(ps, n):
@@ -417,7 +415,7 @@ def simpson_rule(ps, n):
 def test_mode_orthogonality(ps810, modes810):
     pairs = [(0, 1), (0, 5), (3, 11), (10, 19)]
     r, w = simpson_rule(ps810, 1024)
-    vals = stack([m.profile for m in modes810]).values(r)
+    vals = modes810[1].values(r)
 
     def inner(i, j):
         return float(np.sum(w * vals[i] * vals[j]))
@@ -430,7 +428,7 @@ def test_mode_orthogonality(ps810, modes810):
 # --- projection ---------------------------------------------------------------
 
 def test_projection_cancels_offset(ps810, modes810, offset810):
-    c, res_max, res_l2 = project_initial(ps810, modes810, offset810)
+    c, res_max, res_l2 = project_initial(ps810, *modes810, offset810)
     assert res_max < 0.2          # degC, against a ~6 degC offset
     assert res_l2 < 0.01
     # amplitude sequence decays overall
@@ -440,14 +438,15 @@ def test_projection_cancels_offset(ps810, modes810, offset810):
 @pytest.mark.parametrize("broken", ["zero profile", "zero rate"])
 def test_projection_refuses_a_degenerate_mode(ps810, modes810, offset810,
                                               broken):
-    m = modes810[3]
+    zeta, modes = modes810[0].copy(), modes810[1]
     if broken == "zero profile":
-        m = replace(m, profile=replace(m.profile, a=0.0 * m.profile.a,
-                                       b=0.0 * m.profile.b))
+        a, b = modes.a.copy(), modes.b.copy()
+        a[:, 3] = b[:, 3] = 0.0
+        modes = replace(modes, a=a, b=b)
     else:
-        m = replace(m, zeta=0.0)
+        zeta[3] = 0.0
     with pytest.raises(thermal.ThermalError, match=r"at modes \[3\]"):
-        project_initial(ps810, modes810[:3] + [m] + modes810[4:], offset810)
+        project_initial(ps810, zeta, modes, offset810)
 
 
 # 810-15w, then three changes to it that put mode 0 in an I0/K0 zone
@@ -462,14 +461,14 @@ def test_projection_matches_quadrature(ps810, reg, factor):
         ps = replace(ps, thermal={**ps.thermal,
                                   reg: replace(th, omega=factor * th.omega)})
     offset = steady_robin_offset(ps)
-    modes = modal_eigenvalues(ps, n_modes=20)
+    zeta, modes = modal_eigenvalues(ps, n_modes=20)
     if reg:
-        assert modes[0].profile.kind[OUTER.index(reg), 0] == IK
-    c, _, res_l2 = project_initial(ps, modes, offset)
+        assert modes.kind[OUTER.index(reg), 0] == IK
+    c, _, res_l2 = project_initial(ps, zeta, modes, offset)
     # independently, by orthogonality alone: c_m = -<Theta, R_m> / <R_m, R_m>
     # in a fine quadrature, with no Gram matrix
     r, w = simpson_rule(ps, 4096)
-    vals = stack([offset.profile] + [m.profile for m in modes]).values(r)
+    vals = stack([offset, modes]).values(r)
     theta, basis = vals[0], vals[1:]
     c_quad = -(basis * w) @ theta / np.sum(basis * basis * w, axis=1)
     assert np.max(np.abs(c - c_quad)) < 1e-10 * np.max(np.abs(c_quad))
@@ -482,10 +481,10 @@ def test_projection_matches_quadrature(ps810, reg, factor):
 def test_edge_residual_is_the_peak(all_presets):
     for name, ps in all_presets.items():
         offset = steady_robin_offset(ps)
-        modes = modal_eigenvalues(ps, n_modes=20)
-        c, res_max, _ = project_initial(ps, modes, offset)
+        zeta, modes = modal_eigenvalues(ps, n_modes=20)
+        c, res_max, _ = project_initial(ps, zeta, modes, offset)
         r = np.linspace(ps.geometry.r_i, ps.geometry.r_s, 20000)
-        vals = stack([offset.profile] + [m.profile for m in modes]).values(r)
+        vals = stack([offset, modes]).values(r)
         sampled = np.max(np.abs(vals[0] + c @ vals[1:]))
         assert sampled <= res_max * (1.0 + 1e-9), name
 
@@ -518,12 +517,13 @@ def test_robin_relaxation_without_heating(ps810, temp810):
     r = 17.0
 
     def relax(t):
-        acc = temp810.offset.profile.values(r)[0]
-        for c, m in zip(temp810.amplitudes, temp810.modal):
-            acc += c * m.profile.values(r)[0] * math.exp(m.zeta * t)
+        acc = temp810.offset.values(r)[0]
+        for c, zeta, val in zip(temp810.amplitudes, temp810.zeta,
+                                temp810.modes.values(r)):
+            acc += c * val * math.exp(zeta * t)
         return acc
 
-    theta = temp810.offset.profile.values(r)[0]
+    theta = temp810.offset.values(r)[0]
     vals = [relax(t) for t in (0.0, 50.0, 200.0, 6000.0)]
     assert abs(vals[0]) < 0.15
     assert vals[0] > vals[1] > vals[2] > vals[3]
@@ -608,12 +608,13 @@ def test_eval_raises_on_non_finite_output():
 
 def test_printed_variants_differ(ps810, sol810, modes810, offset810):
     rates = forcing_rates(ps810)
-    c, rmax, rl2 = project_initial(ps810, modes810, offset810)
+    zeta, modes = modes810
+    c, rmax, rl2 = project_initial(ps810, zeta, modes, offset810)
 
     def make(mode):
         return thermal.TemperatureSolution(
             ps=ps810, sol=sol810, mode=mode, rates=rates, offset=offset810,
-            modal=tuple(modes810), amplitudes=c,
+            zeta=zeta, modes=modes, amplitudes=c,
             projection_residual_max=rmax, projection_residual_l2=rl2)
 
     derived = make("derived")
@@ -639,6 +640,7 @@ def test_build_temperature_rejects_bad_mode(ps810, sol810):
 def test_build_temperature_rejects_empty_mode_set(ps810, sol810, n_modes):
     # an empty mode set cannot carry the uniform start: the projection
     # would return no amplitudes and leave the whole offset at t = 0
-    assert thermal.modal_eigenvalues(ps810, n_modes=n_modes) == []
+    with pytest.raises(thermal.ThermalError, match="n_modes"):
+        thermal.modal_eigenvalues(ps810, n_modes=n_modes)
     with pytest.raises(thermal.ThermalError, match="n_modes"):
         build_temperature(ps810, sol810, n_modes=n_modes)
