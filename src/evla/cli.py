@@ -53,15 +53,15 @@ def _fmt(values):
     return np.array(text, dtype=object).reshape(np.shape(values))
 
 
-def _parse_times(text):
+def _parse_times(text, ps):
     try:
         times = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ConfigError("bad --times value %r" % text)
     if not times:
         raise ConfigError("--times is empty")
-    if not all(np.isfinite(times)):
-        raise ConfigError("--times must be finite, got %r" % text)
+    if not all(0.0 <= t <= ps.protocol.t_end for t in times):
+        raise ConfigError("--times outside [0, %g]" % ps.protocol.t_end)
     return times
 
 
@@ -110,7 +110,7 @@ def _write_field(ps, values_at, grid, times, header, out):
 
 
 def _cmd_fluence(ps, args, out):
-    grid, times = _parse_grid(args.grid), _parse_times(args.times)
+    grid, times = _parse_grid(args.grid), _parse_times(args.times, ps)
     sol = assemble_and_solve(ps)
     _write_field(ps, sol.eval, grid, times,
                  ("r_mm", "z_mm", "t_s", "region", "phi_W_per_mm2"), out)
@@ -123,7 +123,7 @@ def _cmd_temperature(ps, args, out):
               "rates grow with u" % ps.protocol.u, file=sys.stderr)
     if args.modes < 1:
         raise ConfigError("--modes must be >= 1, got %d" % args.modes)
-    grid, times = _parse_grid(args.grid), _parse_times(args.times)
+    grid, times = _parse_grid(args.grid), _parse_times(args.times, ps)
     sol = assemble_and_solve(ps)
     temp = build_temperature(ps, sol, mode=args.form, n_modes=args.modes)
     _write_field(ps, temp.eval, grid, times,

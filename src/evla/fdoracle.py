@@ -294,15 +294,6 @@ class SteadyComparison:
     seconds: float
 
 
-def _analytic_on_grid(sol, grid: Grid2D, t, profiles):
-    """Closed-form fluence on the tensor grid at time t, zero behind the
-    tip.  profiles = sol.radial.values(grid.r), computed once per grid;
-    only the axial exponentials depend on t."""
-    zeta = grid.z + sol.ps.protocol.v * t
-    field = sol.axial_sum(profiles[:, :, None], zeta)
-    return np.where(zeta[None, :] < 0.0, 0.0, field)
-
-
 def _require_same_params(ps, sol):
     """Refuse a solution built for other parameters than ps: the FD
     coefficients would come from one set and the source and the
@@ -346,8 +337,8 @@ def solve_steady_fluence(ps: ParameterSet, sol, nr=300, nz=300,
          * grid.area[:, None] * grid.dz)
     q[:, zeta < 0.0] = 0.0
 
-    ref = _analytic_on_grid(sol, grid, proto.t_end,
-                            sol.radial.values(grid.r))
+    ref = np.where(zeta < 0.0, 0.0,
+                   sol.terms.field(grid.r[:, None], grid.z, proto.t_end))
 
     # every closure pins whole grid lines, so the free nodes form the
     # block rows x cols of the tensor grid
@@ -463,8 +454,7 @@ def fluence_residual_probe(ps: ParameterSet, sol, nr=120,
     def field(rr, zz):
         # rr rows are constant radii by construction of the probe grids;
         # the exact field is continued behind the tip (no zeta < 0 mask)
-        return sol.axial_sum(sol.radial.values(rr[:, 0])[:, :, None],
-                             zz + ps.protocol.v * frame_t)
+        return sol.terms.field(rr[:, :1], zz, frame_t)
 
     def source(rr, zz):
         return sol.src.eval(rr, zz, frame_t)
@@ -558,18 +548,17 @@ def solve_transient_temperature(ps: ParameterSet, sol, nr=200, nz=220,
     rhs_fixed[-1] += geo.r_s * grid.dz * proto.h_air * proto.T_air
 
     # the heating mu_a phi per CV is rank two in (r, z): the radial rows
-    # heat_r[f] times the axial factors e^{-mu_f zeta} ahead of the tip
+    # heat_r[f] times the axial factors e^{-mu_f (z + v t)} ahead of the tip
     heat_r = None
     if heating == "analytic_fluence":
         mu_a_node = np.array([ps.optics_of(reg).mu_a for reg in Region])[
             region_index(grid.r, geo)]
         heat_r = (mu_a_node * grid.area * grid.dz
-                  * sol.radial.values(grid.r))
-        rates = np.asarray(sol.axial)[:, None]
+                  * sol.terms.radial.values(grid.r))
 
         def heat_z(t):
-            zeta = grid.z + proto.v * t
-            return np.where(zeta < 0.0, 0.0, np.exp(-rates * zeta))
+            return np.where(grid.z + proto.v * t < 0.0, 0.0,
+                            sol.terms.axial(grid.z, t))
 
     temp = np.full((nrn, nzn), proto.T_b)
     if proto.u > 0.0:

@@ -1,7 +1,7 @@
 """Steady-state analytic light fluence over the layered cylinder.
 
-The field is a sum of two exponential families in the co-moving coordinate
-(z + v t):
+The field is a sum of two families, each a radial profile times e^{-mu xi}
+in the co-moving coordinate xi = z + v t:
 
   * the mu_eff family, amplitude B0, flat in r through the lumen and
     carried outward by I0/K0 or J0/Y0 profiles (branch decided by the sign
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import layered
 from .layered import (
-    IK, JY, LayerSpec, RadialPiecewise, SolverError, assemble, stack,
+    IK, JY, LayerSpec, SolverError, TermTable, assemble, stack,
 )
 from .params import (OUTER, OUTER_FIRST, ConfigError, ParameterSet, Region,
                      derive_optics)
@@ -50,14 +50,6 @@ def _require_finite(r, z, t):
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(z))
             and np.all(np.isfinite(t))):
         raise DomainError("non-finite r, z or t")
-
-
-def distinct_values(x):
-    """(xu, inv): the sorted distinct values of the coordinate array x and
-    the index array of x's shape that gathers them back, xu[inv] == x.  A
-    factor of one coordinate is evaluated once per entry of xu."""
-    xu, inv = np.unique(x, return_inverse=True)
-    return xu, inv.reshape(np.shape(x))
 
 
 @dataclass(frozen=True)
@@ -126,29 +118,19 @@ def branch_factors(ps: ParameterSet):
 class FluenceSolution:
     """Assembled coefficients; evaluable at (r, z, t) with z >= -v t.
 
-    radial holds the mu_eff profile (row 0: B0 flat through the lumen,
-    I0/K0 or J0/Y0 outside) and the mu_t profile (row 1: -P_in flat in the
-    fiber column, J0/Y0 outside it) over all five zones; axial holds the
-    blood rates (mu_eff, mu_t) of their axial factors.
+    terms holds the mu_eff family (row 0: B0 flat through the lumen,
+    I0/K0 or J0/Y0 outside, axial rate mu_eff of blood) and the mu_t family
+    (row 1: -P_in flat in the fiber column, J0/Y0 outside it, rate mu_t of
+    blood) over all five zones.
     """
 
     ps: ParameterSet
     src: SourceTerm
-    axial: tuple                 # (mu_eff, mu_t) of blood [1/mm]
     P_in: float                  # particular amplitude S0/(D mu_t^2 - mu_a)
     B0: float
-    radial: RadialPiecewise
+    terms: TermTable
     cond_eff: float
     cond_t: float
-
-    def axial_sum(self, rows, zeta):
-        """rows[0] e^{-mu_eff zeta} + rows[1] e^{-mu_t zeta}: the field of the
-        radial rows (radial.values at some radii) at the co-moving
-        coordinate zeta = z + v t, arrays broadcast.  The exponentials are
-        taken on zeta's own shape; nothing is masked behind the tip."""
-        mu_eff, mu_t = self.axial
-        return (rows[0] * np.exp(-mu_eff * zeta)
-                + rows[1] * np.exp(-mu_t * zeta))
 
     # -- full field ----------------------------------------------------
 
@@ -170,13 +152,9 @@ class FluenceSolution:
 
     def eval(self, r, z, t):
         """Fluence [W/mm^2] at (r, z, t); arrays broadcast."""
-        r, z, t = np.broadcast_arrays(
-            np.asarray(r, dtype=float), np.asarray(z, dtype=float),
-            np.asarray(t, dtype=float))
+        r, z, t = (np.asarray(c, dtype=float) for c in (r, z, t))
         self._check_domain(r, z, t)
-        ru, inv = distinct_values(r)
-        out = self.axial_sum(self.radial.values(ru)[:, inv],
-                             z + self.ps.protocol.v * t)
+        out = self.terms.field(r, z, t)
         if out.ndim == 0:
             return float(out)
         return out
@@ -246,8 +224,10 @@ def assemble_and_solve(ps: ParameterSet, normalization="max_at_tip",
     p_t, cond_t = assemble(mu_t).solve("mu_t")
 
     sol = FluenceSolution(
-        ps=ps, src=src, axial=(blood.mu_eff, blood.mu_t), P_in=p_in, B0=b0,
-        radial=stack([p_eff.flat_inside(b0), p_t.flat_inside(-p_in)]),
+        ps=ps, src=src, P_in=p_in, B0=b0,
+        terms=TermTable(
+            stack([p_eff.flat_inside(b0), p_t.flat_inside(-p_in)]),
+            np.array([blood.mu_eff, blood.mu_t]), proto.v),
         cond_eff=float(cond_eff[0]), cond_t=float(cond_t[0]))
     _residual_check(sol)
     return sol
@@ -263,7 +243,7 @@ def interface_jumps(sol: FluenceSolution, weights=None):
     construction imposes no flux condition there).
     """
     d_of = [sol.ps.derived_of(region).D for region in Region]
-    out = layered.interface_jumps(sol.radial, d_of, weights)
+    out = layered.interface_jumps(sol.terms.radial, d_of, weights)
     out["r_f"] = (out["r_f"][0], None)
     return out
 
@@ -303,7 +283,7 @@ def eval_fluence_transient(protocol, blood_optics, r, z, t, r_f=0.3):
     zeta = transient_growth_rate(blood_optics)
     d = derive_optics(blood_optics)
     src = build_source(protocol, blood_optics, r_f=r_f)
-    s_of_z = src.S0 * np.exp(-d.mu_t * z)
+    s_of_z = src.eval(r, z, 0.0)
     rate = zeta + d.mu_t * protocol.v
     nu_per_s = d.nu * 1e12
     with np.errstate(over="ignore"):

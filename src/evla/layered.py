@@ -14,11 +14,13 @@ Analysis and Solutions of Heat and Mass Diffusion* (1984).
   assemble() builds its column-scaled system, which can be solved (with a
   condition check) or reduced to determinants.
 * interface_jumps() measures how well a profile satisfies the matching.
+* TermTable multiplies such rows by axial factors e^{-mu (z + v t)}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -193,6 +195,39 @@ def stack(profiles):
     return replace(profiles[0], **{
         key: np.concatenate([getattr(p, key) for p in profiles], axis=1)
         for key in ("kind", "q", "a", "b")})
+
+
+def distinct_values(x):
+    """(xu, inv): the sorted distinct values of the coordinate array x and
+    the index array of x's shape that gathers them back, xu[inv] == x.  A
+    factor of one coordinate is evaluated once per entry of xu."""
+    xu, inv = np.unique(x, return_inverse=True)
+    return xu, inv.reshape(np.shape(x))
+
+
+@dataclass(frozen=True)
+class TermTable:
+    """Separable terms R_k(r) e^{-mu_k xi} E_k(t), xi = z + v t: the rows
+    of radial and one axial rate mu_k per row; the solution holding the
+    table owns the time factors E_k.  Ahead of the tip (xi >= 0) every
+    axial factor lies in [0, 1], so only E_k can overflow."""
+
+    radial: RadialPiecewise
+    mu: np.ndarray      # (terms,) [1/mm]
+    v: float            # [mm/s]
+
+    def axial(self, z, t, pick=slice(None)):
+        """e^{-mu_k (z + v t)} of the terms pick (a slice or index array):
+        (terms, *shape), shape the broadcast shape of z and t."""
+        xi = np.asarray(z, dtype=float) + self.v * np.asarray(t, dtype=float)
+        return np.exp(np.multiply.outer(-self.mu[pick], xi))
+
+    def field(self, r, z, t):
+        """sum_k R_k(r) e^{-mu_k (z + v t)}, every E_k = 1, arrays
+        broadcast; the radial rows are evaluated once per distinct r."""
+        ru, inv = distinct_values(r)
+        rows = self.radial.values(ru)[:, inv]
+        return reduce(np.add, map(np.multiply, rows, self.axial(z, t)))
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,13 @@ The temperature is assembled from three ingredients:
 
 1. forced terms: each radial profile of the fluence, multiplied by its
    absorption coefficient, drives one separable mode of the bioheat
-   equation.  Starting from zero, Duhamel's integral gives every such
-   mode the same bracket shape
+   equation.  From zero, Duhamel's integral gives the mode of axial rate
+   mu and free growth rate a (under the bioheat operator) the factor
 
-       phi_g(a, b, t) = (e^{a t} - e^{b t}) / (a - b)
+       e^{-mu z} (e^{a t} - e^{-mu v t}) / A = e^{-mu xi} (e^{A t} - 1) / A
 
-   with a the free growth rate of the spatial profile under the bioheat
-   operator and b = -mu_fam * v the decay rate the moving source imprints;
-   see growth_bracket.
+   with A = a + mu v: the fluence's own factor in the co-moving coordinate
+   xi = z + v t times the time factor E = growth_bracket(A, 0, t).
 
 2. a steady radial offset Theta(r) carrying the skin-to-air Robin data
    (ambient below blood temperature pulls the outer layers down even
@@ -30,18 +29,18 @@ Every term is a radial profile times an axial and a time factor
 Each family is passed on as the arrays that define it: forcing_rates gives
 the forced rates per family and region, steady_robin_offset the offset
 profile, and modal_eigenvalues the decay rates with one RadialPiecewise
-holding a row per mode.  TemperatureSolution stacks them into one term
-table and evaluates each factor once per distinct value of its own
-coordinate; the forced time factors are taken from the region holding
-each radius.
+holding a row per mode.  TemperatureSolution extends the fluence's
+layered.TermTable by the offset and the modes (axial rate 0, time factor
+e^{zeta t}, zeta = 0 for the offset) and takes the forced time factors
+from the region holding each radius.
 
 The lumen terms satisfy the blood heat equation exactly.  For the outer
 regions three variants are provided (`mode`): "derived" (default) keeps
 the construction an exact solution of the bioheat equation; "printed" and
 "printed_sqrt" reproduce common shorthand forms that drop the absorption
-amplitude and the pull-back shift in the denominator ("printed_sqrt"
-additionally takes the square root of the growth rate).  They are kept
-for comparison and are not PDE solutions.
+amplitude and the pull-back shift in the denominator, E = (e^{A t} - 1) /
+(rho c_p a) ("printed_sqrt" additionally takes A = sqrt(a) + mu v).  They
+are kept for comparison and are not PDE solutions.
 """
 
 from __future__ import annotations
@@ -53,8 +52,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fluence import FluenceSolution, assemble_and_solve, distinct_values
-from .layered import IK, JY, LayerSpec, RadialPiecewise, assemble, stack
+from .fluence import FluenceSolution, assemble_and_solve
+from .layered import (IK, JY, LayerSpec, RadialPiecewise, TermTable,
+                      assemble, distinct_values, stack)
 from .params import (OUTER, OUTER_FIRST, ParameterSet, Region,
                      derive_optics, region_index)
 
@@ -447,20 +447,19 @@ class TemperatureSolution:
     """T(r, z, t) over the cylinder for t in [0, t_end], z >= -v t.
 
     The field is one table of separable terms, built once per solution:
-    T = T_b + sum_k amp_k(region of r) R_k(r) e^{-alpha_k z} G_k(t).
+    T = T_b + sum_k amp_k(region of r) R_k(r) e^{-mu_k (z + v t)} E_k(t).
 
-    * `radial` holds every R_k: row 0 the fluence mu_eff profile, row 1
-      the mu_t profile (the two forced families), row 2 the Robin offset
-      and rows 3, 4, ... the modes (offset and modes zero in the lumen);
+    * `terms` (layered.TermTable) holds every R_k and mu_k: rows 0 and 1
+      the fluence's (the forced terms), row 2 the Robin offset and rows
+      3, 4, ... the modes (mu = 0; zero in the lumen);
     * `amp` (rows, regions): mu_a / (rho c_p) for the forced rows (1 in
       the printed forms), 1 for the offset and c_k for mode k;
-    * `axial`: alpha_k, mu_eff and mu_t for the forced rows, 0 for the
-      offset and the modes;
-    * `brackets` (family, region, 3): a, b and d of the forced time factor
-      G = (e^{a t} - e^{b t}) / d, with `mode` resolved here; a is the
-      forcing rate (`rates`, forcing_rates), and d is nan where G is the
-      exact Duhamel bracket, d = a - b (growth_bracket);
-    * `decay`: G = e^{rate t} of the offset (rate 0) and the modes (zeta_k).
+    * `brackets` (family, region, 2): A and A / d of the forced time
+      factor E = (e^{A t} - 1) / d = (A / d) growth_bracket(A, 0, t), with
+      `mode` resolved here: A = a + mu v, a the forcing rate (`rates`,
+      forcing_rates; its square root in printed_sqrt), and d = A in the
+      exact Duhamel bracket, rho c_p a in the printed forms;
+    * the offset's time factor is 1 and mode k's is e^{zeta_k t}.
 
     Each radius takes the forced time factors of the region holding it, so
     a bracket that overflows in the lumen leaves the tissue's values alone.
@@ -476,23 +475,21 @@ class TemperatureSolution:
     amplitudes: np.ndarray
     projection_residual_max: float
     projection_residual_l2: float
-    radial: RadialPiecewise = field(init=False, repr=False)
+    terms: TermTable = field(init=False, repr=False)
     amp: np.ndarray = field(init=False, repr=False)
-    axial: np.ndarray = field(init=False, repr=False)
     brackets: np.ndarray = field(init=False, repr=False)
-    decay: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ps = self.ps
-        mu = np.array(self.sol.axial)
+        flu = self.sol.terms
+        shift = flu.mu[:, None] * flu.v
         n_relax = 1 + len(self.zeta)
         amp = np.ones((2 + n_relax, len(Region)))
         amp[3:] = np.asarray(self.amplitudes)[:, None]
         amp[:2, :OUTER_FIRST] = (ps.blood_optics.mu_a
                                  / ps.blood_thermal.rho_cp)
-        brackets = np.full((2, len(Region), 3), np.nan)
-        brackets[..., 0] = self.rates
-        brackets[..., 1] = -mu[:, None] * ps.protocol.v
+        brackets = np.ones((2, len(Region), 2))
+        brackets[..., 0] = self.rates + shift
         for k, reg in enumerate(OUTER, OUTER_FIRST):
             th = ps.thermal_of(reg)
             if self.mode == "derived":
@@ -504,15 +501,21 @@ class TemperatureSolution:
                     raise ThermalError(
                         "printed_sqrt mode undefined for negative growth "
                         "rate %g in %s" % (rate, reg.value))
-                brackets[:, k, 0] = math.sqrt(rate)
-            brackets[:, k, 2] = th.rho_cp * rate
+                brackets[:, k, 0] = math.sqrt(rate) + shift[:, 0]
+            with np.errstate(divide="ignore"):  # rate 0: E non-finite
+                brackets[:, k, 1] = brackets[:, k, 0] / (th.rho_cp * rate)
         tissue = stack([self.offset, self.modes]).flat_inside(0.0)
-        for name, value in (
-                ("radial", stack([self.sol.radial, tissue])), ("amp", amp),
-                ("axial", np.concatenate([mu, np.zeros(n_relax)])),
-                ("brackets", brackets),
-                ("decay", np.concatenate([[0.0], self.zeta]))):
+        terms = TermTable(stack([flu.radial, tissue]),
+                          np.concatenate([flu.mu, np.zeros(n_relax)]), flu.v)
+        for name, value in (("terms", terms), ("amp", amp),
+                            ("brackets", brackets)):
             object.__setattr__(self, name, value)
+
+    def forced_factors(self, t):
+        """The time factors E of both forced rows in every region at the
+        1-D times t: (family, region, t.size); inf where they overflow."""
+        rate, weight = (self.brackets[..., i, None] for i in range(2))
+        return weight * growth_bracket(rate, 0.0, t)
 
     def radial_rows(self, r):
         """The first step of eval: (ru, rows), the sorted distinct radii of
@@ -528,7 +531,7 @@ class TemperatureSolution:
         # z = t = 0 lies in the domain: only the radii are checked
         self.sol._check_domain(ru, 0.0, 0.0)
         reg_u = region_index(ru, self.ps.geometry)
-        return ru, self.radial.values(ru) * self.amp[:, reg_u]
+        return ru, self.terms.radial.values(ru) * self.amp[:, reg_u]
 
     def eval_rows(self, rows, r, z, t):
         """The second step of eval: the temperature at (r, z, t) from
@@ -540,27 +543,22 @@ class TemperatureSolution:
         ir = np.searchsorted(ru, coords[0])
         if not np.all(ru[np.minimum(ir, ru.size - 1)] == coords[0]):
             raise ValueError("a radius of r is not among the rows' radii")
-        (zu, iz), (tu, it) = (distinct_values(c) for c in coords[1:])
+        tu, it = distinct_values(coords[2])
         reg = region_index(ru, self.ps.geometry)[ir]
-        a, b, d = (self.brackets[..., i, None] for i in range(3))
-        printed = ~np.isnan(d[..., 0])
         # an overflow here, or an inf times zero, leaves a non-finite value,
         # which the check below reports
         with np.errstate(over="ignore", invalid="ignore"):
-            axial = np.exp(-self.axial[:2, None] * zu)
-            # forced time factors, (family, region, t): printed rows where
-            # d is set
-            forced = growth_bracket(a, b, tu)
-            forced[printed] = (np.exp(a[printed] * tu)
-                               - np.exp(b[printed] * tu)) / d[printed]
-            relax = np.exp(self.decay[:, None] * tu)
+            # forced rows: e^{-mu xi} on the shape of (z, t), E per region
+            # on the distinct t; the other rows have mu = 0
+            axial = self.terms.axial(coords[1], coords[2], slice(2))
+            forced = self.forced_factors(tu)
+            relax = np.exp(self.zeta[:, None] * tu)
             out = self.ps.protocol.T_b + sum(
-                table[f][ir] * forced[f][reg, it] * axial[f][iz]
-                for f in (0, 1))
-            # offset and modes: no axial factor (alpha = 0), every term of
-            # the shape of r and t broadcast
-            acc = table[2][ir] * relax[0][it]
-            for row, g in zip(table[3:], relax[1:]):
+                table[f][ir] * forced[f][reg, it] * axial[f] for f in (0, 1))
+            # the offset (time factor 1) and the modes, every term of the
+            # shape of r and t broadcast
+            acc = table[2][ir] + table[3][ir] * relax[0][it]
+            for row, g in zip(table[4:], relax[1:]):
                 acc += row[ir] * g[it]
             out += acc
         bad = np.count_nonzero(~np.isfinite(out))
@@ -575,10 +573,10 @@ class TemperatureSolution:
     def eval(self, r, z, t):
         """Temperature [degC]; arrays broadcast; domain z >= -v t.
 
-        Each factor is evaluated once per distinct value of its own
-        coordinate, before broadcasting: the radial table on the distinct
-        r (radial_rows), then the axial exponentials on the distinct z and
-        the time factors on the distinct t (eval_rows).  The terms are then
+        The radial table is evaluated once per distinct r (radial_rows),
+        the forced time factors and the mode exponentials once per
+        distinct t, and the forced axial factors e^{-mu (z + v t)} on the
+        broadcast shape of z and t (eval_rows).  The terms are then
         accumulated one by one.  Raises ThermalError where the closed form
         has diverged to a non-finite value.
         """

@@ -9,7 +9,8 @@ that range and fall back to quad-based cross-checks elsewhere.
 scan_roots is the reference mode search: a fixed-step scan of a
 determinant and one brentq solve per sign change.  stencil is the
 reference finite-volume operator: the sparse matrix that fdoracle applies
-and solves as a Kronecker sum.
+and solves as a Kronecker sum.  split_forced_terms is the temperature's
+forced terms with the axial and the time factor apart, e^{-mu z} G(t).
 """
 
 import math
@@ -17,6 +18,9 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import brentq
+
+from evla.params import OUTER_FIRST, Region, derive_optics
+from evla.thermal import forcing_rates, growth_bracket
 
 GAMMA = 0.57721566490153286060651209008240243104215933593992
 
@@ -269,3 +273,33 @@ def stencil(grid, d_face, d_cv, m_cv):
         sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(nr * nz, nr * nz)))
+
+
+def split_forced_terms(ps, mode, z, t):
+    """The forced factors of both families (mu_eff, mu_t) in every region,
+    (family, region, *shape) over the broadcast shape of z and t, as
+    e^{-mu z} times the bracket G(t) = (e^{a t} - e^{b t}) / d with
+    b = -mu v: d = a - b, G = growth_bracket(a, b, t), in the lumen and in
+    the derived form; d = rho c_p a in the outer regions of the printed
+    forms, where printed_sqrt takes sqrt(a) for the first rate.  Overflows
+    are left as inf (or nan, inf times 0)."""
+    blood = derive_optics(ps.blood_optics)
+    rates = forcing_rates(ps)
+    z, t = np.broadcast_arrays(np.asarray(z, dtype=float),
+                               np.asarray(t, dtype=float))
+    out = np.empty((2, len(Region)) + z.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, mu in enumerate((blood.mu_eff, blood.mu_t)):
+            b = -mu * ps.protocol.v
+            for k, reg in enumerate(Region):
+                a = rates[f, k]
+                if mode == "derived" or k < OUTER_FIRST:
+                    bracket = growth_bracket(a, b, t)
+                else:
+                    rate = rates[0, k]
+                    if mode == "printed_sqrt":
+                        a = math.sqrt(rate)
+                    bracket = ((np.exp(a * t) - np.exp(b * t))
+                               / (ps.thermal_of(reg).rho_cp * rate))
+                out[f, k] = np.exp(-mu * z) * bracket
+    return out

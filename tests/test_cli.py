@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import evla
-from evla import cli, fluence, thermal, validate
+from evla import cli, fluence, params, thermal, validate
 from evla.validate import CriterionResult
 
 
@@ -164,6 +164,14 @@ def test_config_errors_exit_two(tmp_path, capsys):
     ["temperature", "--times", "nan"],
     ["temperature", "--grid", "1,1"],
     ["damage", "--map", "--grid", "1,1"],
+    # times outside [0, t_end]: before the tip has entered (a time with no
+    # column ahead of the tip) and beside a valid time
+    ["fluence", "--times", "-30"],
+    ["fluence", "--times", "0,-30"],
+    ["temperature", "--times", "-30"],
+    ["temperature", "--times", "0,-30"],
+    ["fluence", "--times", "5,10.5"],
+    ["temperature", "--times", "10.5"],
 ])
 def test_bad_grid_or_times_exit_before_the_solve(argv, monkeypatch, capsys):
     # `damage` takes no --times
@@ -171,7 +179,8 @@ def test_bad_grid_or_times_exit_before_the_solve(argv, monkeypatch, capsys):
         raise AssertionError("solved before --grid/--times were parsed")
     monkeypatch.setattr(cli, "assemble_and_solve", no_solve)
     assert cli.main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 @pytest.mark.parametrize("ini, argv", [
@@ -194,6 +203,26 @@ def test_diverged_or_overflowing_fields_exit_three(tmp_path, capsys, ini,
     assert cli.main(argv + ["--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith("solver error:")
+    # ahead of the tip every axial factor lies in [0, 1] (e^{-mu xi} may
+    # underflow), so the fluence stays finite at the tip, z = -v t, even
+    # where mu_t is 7.3e5/mm (blood g = 0.999999); a diverged temperature
+    # fails through its forced time factors E alone
+    ps = params.load_config(cfg)
+    sol = fluence.assemble_and_solve(ps)
+    geo, proto = ps.geometry, ps.protocol
+    t = np.linspace(0.0, proto.t_end, 5)
+    z = np.minimum(-proto.v * t + np.array([0.0, 1e-6, 1e-3, 1.0])[:, None],
+                   geo.L)
+    axial = sol.terms.axial(z, t)
+    assert np.all((axial >= 0.0) & (axial <= 1.0))
+    r = np.linspace(0.0, geo.r_s, 7)[:, None]
+    assert np.all(np.isfinite(sol.eval(r, -proto.v * t, t)))
+    if "g = 0.999999" in ini:
+        temp = thermal.build_temperature(ps, sol)
+        assert np.all(np.isfinite(temp.terms.axial(z, t)))
+        assert not np.all(np.isfinite(temp.forced_factors(t)))
+        with pytest.raises(thermal.ThermalError, match="non-finite"):
+            temp.eval(r, -proto.v * t, t)
 
 
 @pytest.mark.parametrize("command, solution", [

@@ -272,21 +272,29 @@ def test_one_column_free_block_matches_sparse_direct(ps810, sol810, domain):
 
 def test_reference_field_is_the_closed_form(ps810, sol810, temp810):
     # the oracle's reference is sol.eval ahead of the tip and 0 behind it,
-    # in the steady frame (t_end) and at t = 2.5, where most of the grid
-    # lies behind the tip
+    # in the steady frame (t_end); the term table's field on the grid, which
+    # the oracle and the transient's heating read, is sol.eval at t = 2.5
+    # too, where most of the grid lies behind the tip
     out = fd.solve_steady_fluence(ps810, sol810, nr=30, nz=24)
     grid = out.grid
     rr, zz = grid.meshes()
     v = ps810.protocol.v
+    on_grid = sol810.terms.field(grid.r[:, None], grid.z, 2.5)
     for t, ref in ((ps810.protocol.t_end, out.phi_ref),
-                   (2.5, fd._analytic_on_grid(sol810, grid, 2.5,
-                                              sol810.radial.values(grid.r)))):
+                   (2.5, np.where(zz + v * 2.5 < 0.0, 0.0, on_grid))):
         ahead = zz + v * t >= 0.0
         np.testing.assert_array_equal(ref[ahead],
                                       sol810.eval(rr[ahead], zz[ahead], t))
         assert np.all(ref[~ahead] == 0.0)
     assert np.any(~ahead)
-    assert tuple(temp810.axial[:2]) == sol810.axial
+    # the temperature's table extends the fluence's: the same two forced
+    # rows and rates, then the offset and the modes at rate 0
+    assert tuple(temp810.terms.mu[:2]) == tuple(sol810.terms.mu)
+    assert np.all(temp810.terms.mu[2:] == 0.0)
+    forced = temp810.terms.radial.rows(slice(2))
+    for key in ("kind", "q", "a", "b"):
+        np.testing.assert_array_equal(getattr(forced, key),
+                                      getattr(sol810.terms.radial, key))
 
 
 def test_unknown_options_raise(ps810, sol810):
@@ -433,13 +441,13 @@ def _sparse_transient_reference(ps, sol, grid, dt, times, heating,
     rhs_fixed[idx] += rim * proto.T_air
     mu_a = np.array([ps.optics_of(reg).mu_a for reg in Region])[
         fd.region_index(grid.r, geo)]
-    profiles = sol.radial.values(grid.r)
     temp = np.full(nr * nz, proto.T_b)
     shots = []
     for n in range(1, int(round(max(times) / dt)) + 1):
         rhs = mass / dt * temp + rhs_fixed
         if heating == "analytic_fluence":
-            phi = fd._analytic_on_grid(sol, grid, n * dt, profiles)
+            phi = np.where(grid.z + proto.v * n * dt < 0.0, 0.0,
+                           sol.terms.field(grid.r[:, None], grid.z, n * dt))
             rhs += (mu_a[:, None] * phi * grid.area[:, None]
                     * grid.dz).ravel()
         temp = lu.solve(rhs)

@@ -158,11 +158,11 @@ def test_tip_irradiance_normalization_moves_peak(ps810):
 def test_zero_flux_closure_variant(ps810):
     sol = assemble_and_solve(ps810, closure="zero_flux")
     geo = ps810.geometry
-    d = sol.radial.at(Region.SKIN, geo.r_s, deriv=True)[1]
+    d = sol.terms.radial.at(Region.SKIN, geo.r_s, deriv=True)[1]
     assert abs(d) < 1e-9 * abs(sol.P_in)
     # default closure pins the oscillatory family's value instead
     sol0 = assemble_and_solve(ps810)
-    value = sol0.radial.at(Region.SKIN, geo.r_s)[1]
+    value = sol0.terms.radial.at(Region.SKIN, geo.r_s)[1]
     assert abs(value) < 1e-9 * abs(sol0.P_in)
 
 
@@ -193,7 +193,7 @@ def test_lumen_to_annulus_flux_kink(ps810, sol810):
     geo = ps810.geometry
     D_b = ps810.derived_of(Region.BLOOD_ANNULUS).D
     # the eff family (row 0) is flat in r inside r_i
-    d_ann = sol810.radial.at(Region.BLOOD_ANNULUS, geo.r_f, deriv=True)
+    d_ann = sol810.terms.radial.at(Region.BLOOD_ANNULUS, geo.r_f, deriv=True)
     assert d_ann[0] == 0.0
     d_ann = d_ann[1]
     assert abs(D_b * d_ann) > 100.0

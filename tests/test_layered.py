@@ -66,7 +66,7 @@ def _tables(temp):
     """The radial tables of a built solution: the full term table (zones
     from the axis) and the offset and modes alone (zones from r_i)."""
     tissue = layered.stack([temp.offset, temp.modes])
-    return {"terms": temp.radial, "tissue": tissue}
+    return {"terms": temp.terms.radial, "tissue": tissue}
 
 
 @pytest.mark.parametrize("preset", ["810-15w", "980-15w", "980-10w",
@@ -96,7 +96,7 @@ def test_gathered_values_match_per_region(all_presets, preset):
 
 
 def test_gathered_shapes_follow_the_radii(temp810):
-    prof = temp810.radial
+    prof = temp810.terms.radial
     geo = temp810.ps.geometry
     r = np.linspace(0.0, geo.r_s, 12).reshape(3, 4)
     np.testing.assert_array_equal(prof.values(r).reshape(-1, 12),

@@ -23,7 +23,7 @@ from evla.params import OUTER, Region
 from evla.thermal import (BracketExhausted, build_temperature,
                           forcing_rates, growth_bracket, modal_eigenvalues,
                           project_initial, steady_robin_offset)
-from oracles import scan_roots
+from oracles import scan_roots, split_forced_terms
 
 # the 20 decay rates of the default tissue stack [1/s], recorded from the
 # scalar determinant scan with brentq refinement; the tissue thermal data do
@@ -604,6 +604,41 @@ def test_eval_raises_on_non_finite_output():
     with pytest.raises(thermal.ThermalError, match="1 of 2 points"):
         temp.eval([0.5, 16.0], 0.0, 10.0)
     assert math.isfinite(temp.eval(16.0, 0.0, 10.0))
+
+
+@pytest.mark.parametrize("mode", ["derived", "printed", "printed_sqrt"])
+@pytest.mark.parametrize("preset", sorted(params.PRESETS))
+def test_forced_terms_match_the_split_form(preset, mode):
+    # e^{-mu xi} E(t) on the co-moving coordinate xi = z + v t against the
+    # split form e^{-mu z} G(t), across the domain z >= -v t, up to L
+    ps = params.preset_params(preset)
+    temp = build_temperature(ps, mode=mode, n_modes=3)
+    proto = ps.protocol
+    t = np.linspace(0.0, proto.t_end, 21)
+    z = np.minimum(-proto.v * t + np.array(
+        [0.0, 1e-3, 0.1, 1.0, 4.0, 10.0, 20.0])[:, None], ps.geometry.L)
+    table = (temp.terms.axial(z, t, slice(2))[:, None]
+             * temp.forced_factors(t)[:, :, None])
+    split = split_forced_terms(ps, mode, z, t)
+    assert np.all(np.isfinite(table)) and np.all(np.isfinite(split))
+    np.testing.assert_allclose(table, split, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", ["derived", "printed", "printed_sqrt"])
+def test_forced_terms_diverge_where_the_split_form_does(mode):
+    # flowing blood: the lumen brackets overflow by t = 10 in both forms
+    # and at the same (family, region) entries; the finite ones agree
+    ps = params.default_params(810, 15.0, u=70.0)
+    temp = build_temperature(ps, mode=mode, n_modes=3)
+    t = np.array([0.0, 2.5, 5.0, 7.5, 10.0])
+    table = temp.terms.axial(0.0, t, slice(2))[:, None] * \
+        temp.forced_factors(t)
+    split = split_forced_terms(ps, mode, 0.0, t)
+    finite = np.isfinite(table)
+    np.testing.assert_array_equal(finite, np.isfinite(split))
+    assert not finite[..., -1].all() and finite[..., -1].any()
+    np.testing.assert_allclose(table[finite], split[finite], rtol=1e-12,
+                               atol=0.0)
 
 
 def test_printed_variants_differ(ps810, sol810, modes810, offset810):
