@@ -8,7 +8,10 @@ The identity set is what a refactor must leave byte-identical:
 
 each at the default grid and at ``--grid 33,41`` (the temperature also
 at ``--modes 7``), plus ``evla fluence`` with ``[optical.blood] g =
-0.999999`` and ``evla damage --map`` on 810-15w.
+0.999999``, ``evla damage --map`` on 810-15w, and ``evla temperature``
+with ``[thermal.wall] omega = 3.24``, ``[thermal.pad] omega = 3.0`` or
+``[thermal.skin] omega = 5.545`` (each puts mode 0 in an I0/K0 zone,
+which no preset reaches), at the default modes and at ``--modes 7``.
 
 Usage, from anywhere in a source checkout:
 
@@ -34,7 +37,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("810-15w", "980-15w", "980-10w", "1064-10w")
 FORMS = ("derived", "printed", "printed_sqrt")
 GRIDS = {"default": [], "g33x41": ["--grid", "33,41"]}
-STRONG_SCATTER = "[optical.blood]\ng = 0.999999\n"
+# tissue regions and the perfusion that puts mode 0 in an I0/K0 zone there
+PERFUSED = {"wall": "3.24", "pad": "3.0", "skin": "5.545"}
+# the INI files the cases read, written next to the CSVs
+CONFIGS = {"g0.999999.ini": "[optical.blood]\ng = 0.999999\n",
+           **{"omega-%s.ini" % reg: "[thermal.%s]\nomega = %s\n" % (reg, omega)
+              for reg, omega in PERFUSED.items()}}
 
 # run in the child: cli.main on each case, the exit codes as JSON
 CHILD = """if True:
@@ -67,6 +75,11 @@ def cases(outdir):
     add("fluence-g0.999999.csv",
         ["fluence", "--config", str(outdir / "g0.999999.ini")])
     add("damage-map-810-15w.csv", ["damage", "--map", "--preset", "810-15w"])
+    for reg in PERFUSED:
+        for tag, modes in (("default", []), ("m7", ["--modes", "7"])):
+            ini = outdir / ("omega-%s.ini" % reg)
+            add("temperature-omega-%s-%s.csv" % (reg, tag),
+                ["temperature", "--config", str(ini)] + modes)
     return out
 
 
@@ -74,7 +87,8 @@ def write_set(src, outdir):
     """Run every case on the evla of the source tree src; returns the exit
     codes by file name."""
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "g0.999999.ini").write_text(STRONG_SCATTER)
+    for name, text in CONFIGS.items():
+        (outdir / name).write_text(text)
     env = {k: v for k, v in os.environ.items() if k != "EVLA_CONFIG"}
     env["PYTHONPATH"] = str(src)
     done = subprocess.run([sys.executable, "-c", CHILD], env=env,

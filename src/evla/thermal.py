@@ -19,9 +19,10 @@ The temperature is assembled from three ingredients:
 3. a modal transient over the tissue annulus [r_i, r_s] that cancels
    Theta at t = 0 so the assembled field starts from uniform T_b.  Modes
    are zero at r_i, Robin-coupled to the air at r_s, continuous in value
-   and conductive flux at the internal interfaces, and decay with their
-   own eigenrates.  Their amplitudes are the orthogonal projection of
-   -Theta, in closed form from Green's identity and Lommel's integral
+   and conductive flux at the internal interfaces, decay with their own
+   eigenrates, and mode n has exactly n zeros, which proves the set
+   complete.  Their amplitudes are the orthogonal projection of -Theta,
+   in closed form from Green's identity and Lommel's integral
    (project_initial); the truncated sum leaves a residual at r_s.
 
 Every term is a radial profile times an axial and a time factor
@@ -54,7 +55,7 @@ import numpy as np
 
 from .fluence import FluenceSolution, assemble_and_solve
 from .layered import (IK, JY, LayerSpec, RadialPiecewise, TermTable,
-                      assemble, distinct_values, stack)
+                      assemble, basis, distinct_values, stack)
 from .params import (OUTER, OUTER_FIRST, ParameterSet, Region,
                      derive_optics, region_index)
 
@@ -67,12 +68,6 @@ _SEED_HALF_WAVES = 6
 # the largest seed problem (about 580 modes on the built-in tables): a
 # dense eigensolve on more unknowns takes seconds
 _SEED_MAX_UNKNOWNS = 2000
-# the widest half-width of the window around each seed, relative to the
-# seed, within which its root and every secant iterate must lie; it is
-# also held below 0.4 of the gap to the nearer neighbouring seed, so that
-# no two windows overlap (the first 20 roots of the built-in tables lie at
-# least 4.9e-2 apart relative, the 200th only 5e-3)
-_WINDOW_LAST = 1e-2
 
 
 class ThermalError(RuntimeError):
@@ -80,9 +75,9 @@ class ThermalError(RuntimeError):
 
 
 class BracketExhausted(ThermalError):
-    """The mode search failed to find, or to prove, every mode: a root or
-    a secant iterate left its seed's window, or a mode has the wrong
-    number of sign changes."""
+    """The mode search failed to find, or to prove, every mode: the secant
+    did not converge, or a refined u is not finite, is not a root, or
+    gives a mode whose number of zeros is not its index."""
 
 
 def growth_bracket(a, b, t):
@@ -226,10 +221,8 @@ def _gll(p):
 
 
 def _seed_roots(ps, n_modes):
-    """Seeds of the first n_modes + 1 roots u from a discrete
-    Sturm-Liouville problem (Pryce, *Numerical Solution of Sturm-Liouville
-    Problems*, 1993); the last is only read by _widest_windows, where it
-    bounds the window of the last mode.
+    """Seeds of the first n_modes roots u from a discrete Sturm-Liouville
+    problem (Pryce, 1993; see _build_modes).
 
     The relaxation problem -(r k R')' + c_b omega r R = u^2 rho c_p r R on
     [r_i, r_s], with R(r_i) = 0 and r k R' + r h R = 0 at r_s, is
@@ -238,7 +231,7 @@ def _seed_roots(ps, n_modes):
     Phys.* 54, 1984), with the Robin term r_s h at r_s.  A mode's phase
     u sqrt(rho c_p / k) dr gathers in each zone in proportion to its
     width times sqrt(rho c_p / k), so each zone gets enough uniform
-    elements for its share of the n_modes + 1 half-waves at
+    elements for its share of the n_modes half-waves at
     _SEED_HALF_WAVES per element.  The GLL-lumped heat capacity is
     diagonal, so the problem symmetrises to one dense eigvalsh.  On the
     built-in tables and the plan workload's ranges the seeds lie within
@@ -251,7 +244,7 @@ def _seed_roots(ps, n_modes):
     ths = [ps.thermal_of(reg) for reg in OUTER]
     phase = np.array([(hi - lo) * math.sqrt(th.rho_cp / th.k)
                       for th, lo, hi in zip(ths, edges, edges[1:])])
-    cells = [math.ceil((n_modes + 1) / _SEED_HALF_WAVES * share)
+    cells = [math.ceil(n_modes / _SEED_HALF_WAVES * share)
              for share in phase / phase.sum()]
     p = _SEED_DEGREE
     n = p * sum(cells)                  # every node but the one at r_i
@@ -277,39 +270,17 @@ def _seed_roots(ps, n_modes):
     # the node at r_i is held at zero
     s = 1.0 / np.sqrt(mass[1:])
     lam = np.linalg.eigvalsh(stiff[1:, 1:] * s[:, None] * s[None, :])
-    return np.sqrt(lam[:n_modes + 1])
+    return np.sqrt(lam[:n_modes])
 
 
-def _widest_windows(seeds):
-    """The widest window half-width of each seed, relative to it:
-    _WINDOW_LAST, or 0.4 of the gap to the nearer neighbouring seed where
-    that is less."""
-    gap = np.diff(seeds)
-    near = np.minimum(np.append(gap, np.inf), np.insert(gap, 0, np.inf))
-    return np.minimum(_WINDOW_LAST, 0.4 * near / seeds)
-
-
-def _check_windows(seeds, widest, u, modes):
-    """BracketExhausted unless every u lies within seed (1 +- widest) of
-    its seed; modes names the mode of each entry in the message."""
-    out = ~(np.abs(u - seeds) <= widest * seeds)        # nan is outside
-    if out.any():
-        raise BracketExhausted(
-            "the roots of modes %s left their seeds' windows: a root was "
-            "missed or found twice" % modes[out].tolist())
-
-
-def _refine(ps, seeds, widest):
-    """Roots u of the determinant f, one within each seed's window
-    seed (1 +- widest), refined together by the secant method.
-
-    Every root starts from its seed and seed (1 + 1e-9); each step then
-    evaluates f at the new iterate of every root not yet done, in one
-    stacked determinant call.  A root is done once a step moves it by less
-    than 1e-14 (1 + u) (brentq's stopping test, with xtol and rtol 1e-14)
-    or once f is exactly zero there.  An iterate that leaves its seed's
-    window raises BracketExhausted (_check_windows).
-    """
+def _refine(ps, seeds):
+    """Roots u of the determinant f, one from each seed, refined together
+    by the secant method from each seed and seed (1 + 1e-9), with one
+    stacked determinant call per step over the roots not yet done.  A root
+    is done once a step moves it by less than 1e-14 (1 + u) (brentq's
+    test), f is exactly zero there, or the iterate is not finite; which
+    mode it gives, if any, _build_modes proves.  Raises BracketExhausted
+    when a root is not done after 100 steps."""
     n = seeds.size
     u = seeds * (1.0 + 1e-9)                 # the latest iterate of each root
     f = _dets(ps, np.concatenate([seeds, u]))
@@ -320,16 +291,15 @@ def _refine(ps, seeds, widest):
             step = np.where(f == 0.0, 0.0,
                             f * (u[live] - prev) / (f - f_prev))
         new = u[live] - step
-        _check_windows(seeds[live], widest[live], new, live)
         prev, f_prev = u[live], f
         u[live] = new
-        go = np.abs(step) >= 1e-14 * (1.0 + np.abs(new))
+        go = np.isfinite(new) & (np.abs(step) >= 1e-14 * (1.0 + np.abs(new)))
         if not go.any():
             return u
         live, prev, f_prev = live[go], prev[go], f_prev[go]
         f = _dets(ps, u[live])
-    raise ThermalError("eigenvalue refinement did not converge in 100 "
-                       "steps")
+    raise BracketExhausted("the secant for modes %s did not converge in 100 "
+                           "steps" % live.tolist())
 
 
 def modal_eigenvalues(ps: ParameterSet, n_modes=20):
@@ -338,61 +308,69 @@ def modal_eigenvalues(ps: ParameterSet, n_modes=20):
     over wall, pad and skin with one row per mode.
 
     Every root u = sqrt(-zeta) of the scaled interface determinant is
-    seeded by a spectral-element discretisation of the relaxation problem
-    (_seed_roots, one dense eigvalsh on numpy alone) and refined from its
-    seed by the secant method, all roots together (_refine); the seeds lie
-    within 1e-11 of the roots, so on the built-in tables and the plan
-    workload's ranges the search makes two stacked determinant calls.
-    Every root must lie within its seed's window (_widest_windows), and
-    the windows do not overlap, so no root is found twice.  The modes are
-    then built together and checked (_build_modes).
-
-    Raises ThermalError when n_modes < 1: the uniform start cannot be
-    projected onto an empty mode set.  Raises BracketExhausted when the
-    seed problem would be too large
-    (more than _SEED_MAX_UNKNOWNS unknowns, about 580 modes on the
-    built-in tables), when an iterate or a root leaves its seed's window,
-    or when mode n (0-based) does not change sign exactly n times on
-    (r_i, r_s]: by Sturm oscillation a root was then missed, which no
-    window can see (a mode the discrete problem misses is missing from the
-    seeds too).
+    seeded by a spectral-element discretisation (_seed_roots), refined by
+    the secant method, all roots together (_refine), and proven to give
+    the mode of its index (_build_modes).  Raises ThermalError when
+    n_modes < 1, and BracketExhausted when the seed problem would exceed
+    _SEED_MAX_UNKNOWNS (about 580 modes on the built-in tables), the
+    secant does not converge, or a root was missed or found twice.
     """
     if n_modes < 1:
         raise ThermalError("n_modes must be >= 1, got %r" % n_modes)
-    seeds = _seed_roots(ps, n_modes)
-    widest = _widest_windows(seeds)[:-1]
-    seeds = seeds[:-1]
-    u = _refine(ps, seeds, widest)
-    _check_windows(seeds, widest, u, np.arange(n_modes))
+    u = _refine(ps, _seed_roots(ps, n_modes))
     return -u * u, _build_modes(ps, u)
 
 
-def _sign_changes(vals):
-    """Sign changes along a 1-D sample, exact zeros skipped."""
-    s = np.sign(vals[vals != 0.0])
-    return int(np.count_nonzero(s[1:] != s[:-1]))
+def _zero_counts(prof):
+    """The exact number of zeros of each row of the modes prof on
+    (r_i, r_s], from the basis values at the two edges of each zone.
+
+    In a J0/Y0 zone a J0 + b Y0 = rho M cos(theta - atan2(b, a)), where
+    J0 + i Y0 = M e^{i theta}; theta increases with x = q r and lies
+    within pi/4 of x - pi/4 (DLMF 10.18.18: theta ~ x - pi/4 - 1/(8x)),
+    which fixes its multiple of 2 pi.  The zone's zeros are the integers
+    passed by phi = (theta - atan2(b, a) - pi/2) / pi, and the wall's,
+    which starts at the zero R(r_i) = 0, floor((theta_hi - theta_lo) /
+    pi).  An I0/K0 zone is monotone where it can vanish, so it has one
+    zero exactly when its edge values differ in sign; the wall has none."""
+    edges = np.asarray(prof.geo.edges[prof.first:])
+    r = np.stack([edges[:-1], edges[1:]], axis=-1)[:, None, :]
+    q, a, b = (arr[..., None] for arr in (prof.q, prof.a, prof.b))
+    f, g, _ = basis(prof.kind[..., None], q, r)         # (zones, batch, 2)
+    theta = np.arctan2(g, f)
+    theta += 2.0 * np.pi * np.round((q * r - np.pi / 4 - theta) / (2 * np.pi))
+    phi = np.floor((theta - np.arctan2(b, a) - np.pi / 2) / np.pi)
+    jy = phi[..., 1] - phi[..., 0]
+    jy[0] = np.floor((theta[0, :, 1] - theta[0, :, 0]) / np.pi)
+    ik = np.prod(np.sign(a * f + b * g), axis=-1) < 0.0
+    ik[0] = False
+    return np.sum(np.where(prof.kind == JY, jy, ik), axis=0).astype(int)
 
 
 def _build_modes(ps, u):
-    """Normalised modes at the refined roots u, one row each, checked for
-    completeness."""
+    """The modes at the refined roots u, one row each, normalised by
+    R'(r_i) = 1.  Raises BracketExhausted naming the first mode n whose u
+    is not finite, is not a root (the smallest singular value of its
+    column-scaled system exceeds 1e-12 of the largest), or whose profile
+    has other than n zeros: by Sturm oscillation only the n-th mode has n
+    (Pryce, *Numerical Solution of Sturm-Liouville Problems*, 1993)."""
+    for n in np.flatnonzero(~np.isfinite(u))[:1]:
+        raise BracketExhausted("mode %d: u = %r is not finite" % (n, u[n]))
     system = assemble(_mode_spec(ps, u))
     _, s, vt = np.linalg.svd(system.m)
     for uu in u[s[:, -2] < 1e-8 * s[:, 0]]:
         warnings.warn("near-degenerate mode at u = %.6f" % uu)
+    for n in np.flatnonzero(s[:, -1] > 1e-12 * s[:, 0])[:1]:
+        raise BracketExhausted(
+            "mode %d: u = %.9g is not a root (smallest singular value %.1e "
+            "of the largest)" % (n, u[n], s[n, -1] / s[n, 0]))
     prof = system.spec.piecewise(vt[:, -1, :] / system.scale[:, 0, :])
-    # normalize: peak magnitude 1 over the annulus, first lobe positive
-    geo = ps.geometry
-    rr = np.linspace(geo.r_i, geo.r_s, 800)
-    vals = prof.values(rr)
-    slope = prof.derivs(np.array([geo.r_i]))[:, 0]
-    for n, row in enumerate(vals):
-        found = _sign_changes(row[1:])
-        if found != n:
-            raise BracketExhausted(
-                "mode %d changes sign %d times on (r_i, r_s], expected %d: "
-                "a root was missed or found twice" % (n, found, n))
-    fac = np.where(slope > 0, 1.0, -1.0) / np.max(np.abs(vals), axis=1)
+    found = _zero_counts(prof)
+    for n in np.flatnonzero(found != np.arange(u.size))[:1]:
+        raise BracketExhausted(
+            "mode %d changes sign %d times on (r_i, r_s], expected %d: a "
+            "root was missed or found twice" % (n, found[n], n))
+    fac = 1.0 / prof.derivs(np.array([ps.geometry.r_i]))[:, 0]
     return replace(prof, a=prof.a * fac, b=prof.b * fac)
 
 
@@ -453,7 +431,8 @@ class TemperatureSolution:
       the fluence's (the forced terms), row 2 the Robin offset and rows
       3, 4, ... the modes (mu = 0; zero in the lumen);
     * `amp` (rows, regions): mu_a / (rho c_p) for the forced rows (1 in
-      the printed forms), 1 for the offset and c_k for mode k;
+      the printed forms), 1 for the offset and c_k for mode k, which
+      carries the mode's scale (each mode has R_k'(r_i) = 1);
     * `brackets` (family, region, 2): A and A / d of the forced time
       factor E = (e^{A t} - 1) / d = (A / d) growth_bracket(A, 0, t), with
       `mode` resolved here: A = a + mu v, a the forcing rate (`rates`,
@@ -539,7 +518,7 @@ class TemperatureSolution:
         broadcast.  A radius of r without a row raises ValueError."""
         ru, table = rows
         coords = [np.asarray(c, dtype=float) for c in (r, z, t)]
-        self.sol._check_domain(*np.broadcast_arrays(*coords))
+        self.sol._check_domain(*coords)
         ir = np.searchsorted(ru, coords[0])
         if not np.all(ru[np.minimum(ir, ru.size - 1)] == coords[0]):
             raise ValueError("a radius of r is not among the rows' radii")

@@ -166,16 +166,36 @@ def test_mode_rates_frozen(preset, modes810):
                                atol=0.0)
 
 
+# 810-15w with one region's perfusion raised until mode 0 lies in an
+# I0/K0 zone there (Lommel's integral with the minus sign; a zone of at
+# most one zero), which no preset reaches: the wall, the pad and the skin
+PERFUSED = [(Region.WALL, 3.0), (Region.PAD, 3.0), (Region.SKIN, 10.0)]
+
+
+def _perfused(ps, reg, factor):
+    th = ps.thermal_of(reg)
+    return replace(ps, thermal={**ps.thermal,
+                                reg: replace(th, omega=factor * th.omega)})
+
+
+def _sampled_zeros(ps, modes, n_radii):
+    """The sign changes of every mode on n_radii - 1 even radii over
+    (r_i, r_s], exact zeros skipped."""
+    r = np.linspace(ps.geometry.r_i, ps.geometry.r_s, n_radii)[1:]
+    out = []
+    for row in modes.values(r):
+        s = np.sign(row[row != 0.0])
+        out.append(np.count_nonzero(s[1:] != s[:-1]))
+    return np.array(out)
+
+
 def test_mode_set_is_complete(all_presets):
     # Sturm oscillation: mode n has exactly n zeros inside (r_i, r_s];
-    # counted here on a grid far finer than the one the search uses
+    # counted here on 2,000 radii
     for name, ps in all_presets.items():
-        geo = ps.geometry
-        r = np.linspace(geo.r_i, geo.r_s, 2001)[1:]
-        vals = modal_eigenvalues(ps, n_modes=20)[1].values(r)
-        for n, row in enumerate(vals):
-            s = np.sign(row[row != 0.0])
-            assert np.count_nonzero(s[1:] != s[:-1]) == n, (name, n)
+        modes = modal_eigenvalues(ps, n_modes=20)[1]
+        np.testing.assert_array_equal(_sampled_zeros(ps, modes, 2001),
+                                      np.arange(20), err_msg=name)
 
 
 def test_skipped_root_is_detected(ps810):
@@ -194,38 +214,35 @@ def roots21(ps810):
 @pytest.mark.parametrize("last, below", [(20, 21), (18, 19)])
 def test_root_list_past_or_short_of_the_modes_is_refused(
         ps810, monkeypatch, roots21, last, below):
-    # a refinement that leaves its seeds' windows: the last root replaced
-    # by the next mode's root (the list runs past mode 19, with 21 roots at
-    # or below its largest) or by mode 18's (it stops short, with 19).  The
-    # window check refuses both before any mode is built
+    # a refinement whose last root is the next mode's (the list runs past
+    # mode 19, with 21 roots at or below its largest) or mode 18's (it
+    # stops short, with 19): mode 19 then has the zeros of the mode whose
+    # root it holds, and the index refuses it
     u = np.append(roots21[:19], roots21[last])
     assert np.count_nonzero(roots21 <= u.max()) == below
     monkeypatch.setattr(thermal, "_refine", lambda *args: u.copy())
-    built = []
-    monkeypatch.setattr(thermal, "_build_modes",
-                        lambda *args: built.append(args))
     with pytest.raises(BracketExhausted,
-                       match=r"modes \[19\] left their seeds' windows"):
+                       match=r"mode 19 changes sign %d times" % last):
         modal_eigenvalues(ps810, n_modes=20)
-    assert not built
 
 
-def test_seeds_carry_one_witness_past_the_modes(ps810, roots21):
+def test_seeds_are_one_per_mode(ps810, roots21):
     seeds = thermal._seed_roots(ps810, 20)
-    assert seeds.size == 21
-    np.testing.assert_allclose(seeds, roots21, rtol=1e-6, atol=0.0)
+    assert seeds.size == 20
+    np.testing.assert_allclose(seeds, roots21[:20], rtol=1e-6, atol=0.0)
 
 
-@pytest.mark.parametrize("mode, shift, recovered", [
+@pytest.mark.parametrize("mode, shift, must_recover", [
     (7, 0.01, True), (7, -0.01, True), (0, 0.5, False), (7, -0.5, False),
-    (7, 0.5, False), (19, -0.5, False), (7, 1.0, False)])
+    (7, 0.5, False), (19, -0.5, False), (7, 1.0, False), (3, 0.3, False),
+    (12, -0.7, False)])
 def test_misplaced_seed_is_recovered_or_refused(ps810, monkeypatch, mode,
-                                                shift, recovered):
+                                                shift, must_recover):
     # one seed moved by a fraction of the gap to its neighbour on that
-    # side: by 1% the secant still finds the root within the seed's window;
-    # by half a gap its window holds no root, and by a whole gap it lands on
-    # the neighbour's seed, and the two windows, which may not overlap,
-    # are too narrow to hold a root
+    # side.  Nothing keeps the secant near its seed: it may find the seed's
+    # own root, another mode's, or none, and every mode is then proven by
+    # its index.  So each case gives the pinned rates or BracketExhausted,
+    # never other rates; by 1% the secant must find the seed's own root
     u_ref = np.sqrt(-np.array(ZETA_DEFAULT_STACK))
     near = mode + (1 if shift > 0 else -1)
     seed_roots = thermal._seed_roots
@@ -236,12 +253,13 @@ def test_misplaced_seed_is_recovered_or_refused(ps810, monkeypatch, mode,
         return u
 
     monkeypatch.setattr(thermal, "_seed_roots", moved)
-    if not recovered:
-        with pytest.raises(BracketExhausted):
-            modal_eigenvalues(ps810, n_modes=20)
+    try:
+        zetas = modal_eigenvalues(ps810, n_modes=20)[0]
+    except BracketExhausted:
+        assert not must_recover
         return
-    np.testing.assert_allclose(modal_eigenvalues(ps810, n_modes=20)[0],
-                               ZETA_DEFAULT_STACK, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(zetas, ZETA_DEFAULT_STACK, rtol=1e-12,
+                               atol=0.0)
 
 
 def test_more_modes_than_the_seed_grid_holds(ps810):
@@ -251,16 +269,29 @@ def test_more_modes_than_the_seed_grid_holds(ps810):
 
 @pytest.mark.parametrize("side", [-1.0, 1.0])
 @pytest.mark.parametrize("which", range(3))
-def test_seed_next_to_a_basis_switch_is_refused(ps810, which, side):
+def test_seed_next_to_a_basis_switch_is_refused(ps810, monkeypatch, which,
+                                                side):
     # a seed 1e-8 below or above a basis switch, where a region's radial
     # character flips and no root lies: the determinant changes sign at
-    # the switch, but the secant leaves the seed's window
+    # the switch, and the secant either never settles or settles on the
+    # switch, which is no root
     c_b = ps810.blood_thermal.c_p
     switch = sorted(math.sqrt(c_b * th.omega / th.rho_cp)
                     for th in map(ps810.thermal_of, thermal.OUTER))[which]
-    with pytest.raises(BracketExhausted, match="left their seeds' windows"):
-        thermal._refine(ps810, np.array([switch + side * 1e-8]),
-                        np.array([thermal._WINDOW_LAST]))
+    monkeypatch.setattr(thermal, "_seed_roots",
+                        lambda ps, n: np.array([switch + side * 1e-8]))
+    with pytest.raises(BracketExhausted,
+                       match="did not converge|is not a root"):
+        modal_eigenvalues(ps810, n_modes=1)
+
+
+@pytest.mark.parametrize("mode", [0, 7, 18])
+def test_midpoint_between_roots_is_refused(ps810, mode):
+    u = np.sqrt(-np.array(ZETA_DEFAULT_STACK))
+    u[mode] = 0.5 * (u[mode] + u[mode + 1])
+    with pytest.raises(BracketExhausted, match="mode %d: .* is not a root"
+                       % mode):
+        thermal._build_modes(ps810, u)
 
 
 def _plan_like(rng, wavelength):
@@ -286,36 +317,43 @@ def test_search_matches_reference_scan(monkeypatch, draw):
                 for th in map(ps.thermal_of, thermal.OUTER)]
     roots = np.array(scan_roots(lambda u: dets(ps, u), switches, 20))
     # the spectral-element seeds alone, before any determinant call
-    np.testing.assert_allclose(thermal._seed_roots(ps, 20)[:-1], roots,
+    np.testing.assert_allclose(thermal._seed_roots(ps, 20), roots,
                                rtol=1e-8, atol=0.0)
     calls = []
     monkeypatch.setattr(thermal, "_dets",
                         lambda ps_, u: calls.append(u.size) or dets(ps_, u))
-    got = modal_eigenvalues(ps, n_modes=20)[0]
+    got, modes = modal_eigenvalues(ps, n_modes=20)
     np.testing.assert_allclose(got, -roots ** 2, rtol=1e-12, atol=0.0)
     assert len(calls) <= 3 and sum(calls) <= 4 * 20, calls
+    # the exact zero count against a dense sampled one
+    np.testing.assert_array_equal(thermal._zero_counts(modes), np.arange(20))
+    np.testing.assert_array_equal(_sampled_zeros(ps, modes, 4001),
+                                  np.arange(20))
 
 
 @pytest.mark.parametrize("n_modes", [100, 200, 400])
 def test_hundreds_of_modes_pass_the_sturm_check(ps810, n_modes):
-    # past about 100 modes neighbouring roots lie closer than the 1%
-    # widest window, so the windows shrink to keep apart
-    seeds = thermal._seed_roots(ps810, n_modes)
-    widest = thermal._widest_windows(seeds)
-    assert np.all(seeds[:-1] * (1.0 + widest[:-1])
-                  < seeds[1:] * (1.0 - widest[1:]))
     zetas, modes = modal_eigenvalues(ps810, n_modes=n_modes)
     assert zetas.shape == (n_modes,) and modes.a.shape[1] == n_modes
     assert np.all(np.diff(zetas) < 0.0)
     np.testing.assert_allclose(zetas[:20], ZETA_DEFAULT_STACK, rtol=1e-12,
                                atol=0.0)
-    # mode n changes sign n times on (r_i, r_s], counted on a grid five
-    # times finer than the search's
-    geo = ps810.geometry
-    r = np.linspace(geo.r_i, geo.r_s, 4001)[1:]
-    for n, row in enumerate(modes.values(r)):
-        s = np.sign(row[row != 0.0])
-        assert np.count_nonzero(s[1:] != s[:-1]) == n
+    # mode n changes sign n times on (r_i, r_s], counted on 4,000 radii
+    np.testing.assert_array_equal(_sampled_zeros(ps810, modes, 4001),
+                                  np.arange(n_modes))
+
+
+@pytest.mark.parametrize("n_modes", [20, 200])
+@pytest.mark.parametrize("reg, factor", PERFUSED)
+def test_zero_count_matches_a_sampled_count(ps810, reg, factor, n_modes):
+    # in the three PERFUSED changes, whose mode 0 lies in an I0/K0 zone
+    ps = _perfused(ps810, reg, factor)
+    modes = modal_eigenvalues(ps, n_modes=n_modes)[1]
+    assert modes.kind[OUTER.index(reg), 0] == IK
+    np.testing.assert_array_equal(thermal._zero_counts(modes),
+                                  np.arange(n_modes))
+    np.testing.assert_array_equal(_sampled_zeros(ps, modes, 8001),
+                                  np.arange(n_modes))
 
 
 @pytest.mark.parametrize("p", [2, 3, 8, 20, 24])
@@ -386,12 +424,9 @@ def test_mode_satisfies_radial_equation(ps810, modes810):
 
 
 def test_mode_normalization(ps810, modes810):
-    geo = ps810.geometry
-    r = np.linspace(geo.r_i, geo.r_s, 2000)
-    modes = modes810[1].rows(slice(0, 3))
-    np.testing.assert_allclose(np.max(np.abs(modes.values(r)), axis=1), 1.0,
-                               rtol=0.0, atol=1e-3)
-    assert np.all(modes.derivs(geo.r_i) > 0)
+    # every mode leaves r_i with unit slope
+    np.testing.assert_allclose(modes810[1].derivs(ps810.geometry.r_i), 1.0,
+                               rtol=0.0, atol=1e-12)
 
 
 def simpson_rule(ps, n):
@@ -449,17 +484,10 @@ def test_projection_refuses_a_degenerate_mode(ps810, modes810, offset810,
         project_initial(ps810, zeta, modes, offset810)
 
 
-# 810-15w, then three changes to it that put mode 0 in an I0/K0 zone
-# (Lommel's integral with the minus sign), which no preset reaches: in the
-# wall, the pad and the skin
-@pytest.mark.parametrize("reg, factor", [
-    (None, 1.0), (Region.WALL, 3.0), (Region.PAD, 3.0), (Region.SKIN, 10.0)])
+# 810-15w, then the three PERFUSED changes to it
+@pytest.mark.parametrize("reg, factor", [(None, 1.0)] + PERFUSED)
 def test_projection_matches_quadrature(ps810, reg, factor):
-    ps = ps810
-    if reg:
-        th = ps.thermal_of(reg)
-        ps = replace(ps, thermal={**ps.thermal,
-                                  reg: replace(th, omega=factor * th.omega)})
+    ps = _perfused(ps810, reg, factor) if reg else ps810
     offset = steady_robin_offset(ps)
     zeta, modes = modal_eigenvalues(ps, n_modes=20)
     if reg:
